@@ -282,49 +282,9 @@ type IslandDegradation struct {
 // evaluation reused versus recomputed: child chromosomes are evaluated
 // relative to previously evaluated relatives (shared operator placements,
 // warm-started routes) rather than from the baseline, with bit-identical
-// results. All counters are totals across the exploration's evaluations.
-type DeltaStats struct {
-	// OpRuns counts ECO operator computations with no reuse; OpMemoHits
-	// placements replayed from the shared memo; OpArenaHits evaluations
-	// whose arena already held the placement; OpIterSteps LDA iterations
-	// run on top of a reused prefix.
-	OpRuns      int `json:"op_runs"`
-	OpMemoHits  int `json:"op_memo_hits"`
-	OpArenaHits int `json:"op_arena_hits"`
-	OpIterSteps int `json:"op_iter_steps"`
-	// RoutesWarm / RoutesCold count route stages warm-started from a donor
-	// route versus routed cold; NetsReplayed / NetsRerouted the per-net
-	// outcomes across all route stages.
-	RoutesWarm   int `json:"routes_warm"`
-	RoutesCold   int `json:"routes_cold"`
-	NetsReplayed int `json:"nets_replayed"`
-	NetsRerouted int `json:"nets_rerouted"`
-	// StaFull / StaDelta count timing stages analyzed over the whole graph
-	// versus delta-analyzed over changed-net cones; StaConeInsts /
-	// StaConeNets total the cone sizes (combinational instances
-	// re-evaluated, net required times recomputed) across the delta runs.
-	StaFull      int `json:"sta_full"`
-	StaDelta     int `json:"sta_delta"`
-	StaConeInsts int `json:"sta_cone_insts"`
-	StaConeNets  int `json:"sta_cone_nets"`
-}
-
-func deltaFromCore(d core.DeltaStats) DeltaStats {
-	return DeltaStats{
-		OpRuns:       d.OpRuns,
-		OpMemoHits:   d.OpMemoHits,
-		OpArenaHits:  d.OpArenaHits,
-		OpIterSteps:  d.OpIterSteps,
-		RoutesWarm:   d.RoutesWarm,
-		RoutesCold:   d.RoutesCold,
-		NetsReplayed: d.NetsReplayed,
-		NetsRerouted: d.NetsRerouted,
-		StaFull:      d.StaFull,
-		StaDelta:     d.StaDelta,
-		StaConeInsts: d.StaConeInsts,
-		StaConeNets:  d.StaConeNets,
-	}
-}
+// results. All counters are totals across the exploration's evaluations;
+// see core.DeltaStats for the fields.
+type DeltaStats = core.DeltaStats
 
 // Exploration is the result of a Design.Explore run.
 type Exploration struct {
@@ -392,7 +352,7 @@ func (d *Design) ExploreCtx(ctx context.Context, opt ExploreOptions) (*Explorati
 		Evaluations: len(log.Evaluations),
 		Knee:        -1,
 		Failures:    len(log.Failures),
-		Delta:       deltaFromCore(log.Delta),
+		Delta:       log.Delta,
 	}
 	for _, in := range log.Front {
 		out.Front = append(out.Front, ParetoPoint{

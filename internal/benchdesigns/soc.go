@@ -2,6 +2,7 @@ package benchdesigns
 
 import (
 	"fmt"
+	"sort"
 
 	"gdsiiguard/internal/gdsii"
 	"gdsiiguard/internal/layout"
@@ -114,6 +115,18 @@ func BuildSoC(name string) (*SoCDesign, error) {
 	return spec.Build()
 }
 
+// sortedKeys returns m's keys in sorted order. Ports and nets are created
+// in this order, so net numbering — and with it routing order and timing —
+// never depends on map iteration order.
+func sortedKeys(m map[string]*netlist.Net) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // macroAt reports whether raster position idx is a hard-macro tile.
 func (s SoCSpec) macroAt(idx int) bool {
 	return s.MacroEvery > 0 && idx > 0 && (idx+1)%s.MacroEvery == 0
@@ -179,7 +192,7 @@ func (s SoCSpec) Build() (*SoCDesign, error) {
 
 	// SoC primary inputs feed column-0 tiles and tiles shadowed by macros.
 	socIn := make(map[string]*netlist.Net, numIn)
-	for name := range inNet {
+	for _, name := range sortedKeys(inNet) {
 		p, err := nl.AddPort(name, netlist.In)
 		if err != nil {
 			return nil, err
@@ -268,7 +281,8 @@ func (s SoCSpec) Build() (*SoCDesign, error) {
 	for outTx > 0 && s.macroAt(outTx) {
 		outTx--
 	}
-	for portName, n := range outNets {
+	for _, portName := range sortedKeys(outNets) {
+		n := outNets[portName]
 		p, err := nl.AddPort(portName, netlist.Out)
 		if err != nil {
 			return nil, err

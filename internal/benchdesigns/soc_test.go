@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"gdsiiguard/internal/core"
 	"gdsiiguard/internal/gdsii"
 )
 
@@ -254,5 +255,37 @@ func TestSoCValidatesAndTopoOrders(t *testing.T) {
 	funcCount := len(d.Layout.Netlist.FunctionalInsts())
 	if len(order) != funcCount {
 		t.Errorf("topo order covers %d cells, want %d", len(order), funcCount)
+	}
+}
+
+// TestSoCBuildReproducible builds the same SoC spec twice and requires the
+// same net numbering and the same baseline timing: generation must not
+// depend on map iteration order.
+func TestSoCBuildReproducible(t *testing.T) {
+	var names [2][]string
+	var tns [2]float64
+	for i := range names {
+		d := smallSoC(t)
+		for _, n := range d.Layout.Netlist.Nets {
+			names[i] = append(names[i], n.Name)
+		}
+		base, err := core.EvalBaseline(d.Layout, core.FlowConfig{
+			Constraints: d.Cons, Activity: d.Spec.Tile.Activity, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tns[i] = base.Metrics.TNS
+	}
+	if len(names[0]) != len(names[1]) {
+		t.Fatalf("net counts differ: %d vs %d", len(names[0]), len(names[1]))
+	}
+	for id := range names[0] {
+		if names[0][id] != names[1][id] {
+			t.Fatalf("net %d is %q in one build and %q in the other", id, names[0][id], names[1][id])
+		}
+	}
+	if tns[0] != tns[1] {
+		t.Errorf("baseline TNS differs between builds: %g vs %g", tns[0], tns[1])
 	}
 }

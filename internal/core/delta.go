@@ -3,40 +3,40 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"time"
 
-	"gdsiiguard/internal/drc"
 	"gdsiiguard/internal/layout"
-	"gdsiiguard/internal/power"
 	"gdsiiguard/internal/route"
-	"gdsiiguard/internal/security"
 	"gdsiiguard/internal/sta"
 )
 
 // This file implements cross-chromosome delta evaluation: a mutated child
 // chromosome is evaluated as a delta from previously evaluated relatives
-// instead of from the baseline, stage by stage, following the gene→stage
-// dependency map documented in params.go.
+// instead of from the baseline, following the gene→stage dependency map
+// documented in params.go. It is not a second flow: a delta arena runs the
+// one pipeline in flow.go (run → evaluate), and three of its stages choose
+// a reusing path, each bit-identical to the from-scratch one.
 //
-//   - The operator stage memoizes its output — the post-operator placement
-//     as a diff against the baseline (layout.DiffPlacements) plus the
-//     operator telemetry — keyed by Params.OpKey(). A hit replays the diff
-//     onto the arena through the journal (layout.ApplyMoves) instead of
-//     re-running the operator; an arena that already holds the placement
-//     skips even the replay. LDA keys form chains (LDA:N:k+1 extends
-//     LDA:N:k by one ldaIteration), so a miss can still start from the
-//     deepest memoized prefix, or extend the arena's current chain in
-//     place.
-//   - The route stage shares one placement-derived route.Geometry per
-//     OpKey and warm-starts from a donor route with the exact same NDR
-//     scale vector (Params.ScaleKey()), rerouting only nets attached to
-//     cells moved between the donor's placement and the arena's
-//     (route.Warm); anything else falls back to a cold, geometry-reusing
-//     route. Both paths are bit-identical to routing from scratch.
-//   - Timing, power, security and DRC are deterministic functions of the
-//     routed layout and run unchanged.
+//   - Operator (Scratch.applyOperator): the post-operator placement — a
+//     diff against the baseline (layout.DiffPlacements) plus the operator
+//     telemetry — is memoized by Params.OpKey(). The arena may already
+//     hold it; otherwise the diff is replayed through the journal
+//     (layout.ApplyMoves). LDA keys form chains (LDA:N:k+1 extends LDA:N:k
+//     by one ldaIteration), so a miss can extend the arena's current chain
+//     in place or resume from the deepest memoized prefix. Only a full
+//     miss runs the operator from the baseline.
+//   - Route (routeStage, Scratch.warmRoute): the placement-derived
+//     route.Geometry is memoized per OpKey, and the route warm-starts from
+//     a donor with the exact same NDR scale vector (Params.ScaleKey()),
+//     rerouting only nets attached to cells placed differently by the
+//     donor and the arena (route.Warm). Otherwise it routes cold on the
+//     memoized geometry.
+//   - Timing (timingStage): after a warm route, sta.AnalyzeDelta
+//     re-propagates only the cones of the changed nets on top of the
+//     donor's timing; otherwise the whole graph is analyzed.
+//
+// Power, security and DRC are deterministic functions of the routed layout
+// and take the same path on every evaluation.
 //
 // The memo hangs off the Baseline (Baseline.Memo), so every consumer that
 // shares a baseline — the nsga2 arena pool, the service design cache, the
@@ -163,7 +163,7 @@ func newStageMemo(b *Baseline) *StageMemo {
 	// (every run evaluates at least the identity configuration) warm-start
 	// immediately, rerouting only the nets the operator touched.
 	if b != nil && b.Routes != nil && b.Routes.Victims == 0 && len(b.Routes.NDRScale) > 0 {
-		key := fmt.Sprintf("%v", b.Routes.NDRScale)
+		key := scaleKey(b.Routes.NDRScale)
 		m.donors[key] = &donorEntry{routes: b.Routes, timing: b.Timing}
 		m.donorOrder = append(m.donorOrder, key)
 	}
@@ -299,34 +299,6 @@ func (m *StageMemo) putDonor(scaleKey, opKey string, diff []layout.InstMove, rou
 	m.donors[scaleKey] = &donorEntry{opKey: opKey, diff: diff, routes: routes, timing: timing}
 }
 
-// runDelta is the delta-evaluation counterpart of runOn: same stages, same
-// results, but the operator stage reuses memoized placements and the route
-// stage reuses geometry and warm-starts from donors. Bit-identical to
-// runOn by construction (golden- and property-tested).
-func (s *Scratch) runDelta(ctx context.Context, p Params) (*Result, error) {
-	l := s.l
-	start := time.Now()
-	Preprocess(l)
-
-	res := &Result{Layout: l, Params: p.Clone()}
-	if err := timedStage(StageOperator, func() error {
-		return s.applyOperator(ctx, p, res)
-	}); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	// Routing Width Scaling: install the NDR, then (re-)route under it.
-	copy(l.NDR.Scale, p.ScaleM)
-	if err := s.evaluateDelta(ctx, p, res); err != nil {
-		return nil, err
-	}
-	res.Metrics.Runtime = time.Since(start)
-	return res, nil
-}
-
 // adopt records the arena's new post-operator state and its journal mark,
 // so subsequent evaluations sharing the OpKey skip the operator entirely.
 func (s *Scratch) adopt(opKey string, diff []layout.InstMove, cs CellShiftResult, lda LDAResult) {
@@ -351,7 +323,7 @@ func (s *Scratch) rewindOperator() {
 // memoized LDA prefix) is replayed, or the operator runs from the
 // baseline — publishing what it computed for every later evaluation.
 func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) error {
-	l, base, memo := s.l, s.base, s.memo
+	l, memo := s.l, s.memo
 	opKey := p.OpKey()
 
 	if s.haveCur && s.curOpKey == opKey {
@@ -362,9 +334,9 @@ func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) erro
 	}
 	if s.haveCur && p.Op == LDA {
 		if n, it, ok := ParseLDAOpKey(s.curOpKey); ok && n == p.LDAGridN && it < p.LDAIters {
-			if err := s.extendLDA(p, it, res); err != nil {
-				return err
-			}
+			_, lda, diff := s.computeOp(p, it, s.curLDA)
+			memo.publishOpIfAbsent(opKey, diff, lda)
+			res.LDAResult = lda
 			deltaOperator.With("arena_extend").Inc()
 			return nil
 		}
@@ -399,25 +371,9 @@ func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) erro
 		}
 	}()
 
-	unpin := pinCritical(l, base.Timing, slackMarginPS)
-	defer unpin()
-
-	if p.Op == CS {
-		cs := CellShift(l, base.Config.Security.ThreshER)
-		diff := layout.DiffPlacements(base.Layout, l)
-		memo.publishOp(entry, diff, cs, LDAResult{})
-		published = true
-		s.adopt(opKey, diff, cs, LDAResult{})
-		res.CSResult = cs
-		s.stats.OpRuns++
-		deltaOperator.With("run").Inc()
-		return nil
-	}
-
-	// LDA: start from the deepest memoized prefix of the chain.
-	from := 0
-	var lda LDAResult
-	for it := p.LDAIters - 1; it >= 1; it-- {
+	// LDA starts from the deepest memoized prefix of its chain.
+	from, lda := 0, LDAResult{}
+	for it := p.LDAIters - 1; p.Op == LDA && it >= 1; it-- {
 		if pe := memo.readyOp(LDAOpKey(p.LDAGridN, it)); pe != nil {
 			if err := l.ApplyMoves(pe.diff); err != nil {
 				return err
@@ -432,52 +388,30 @@ func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) erro
 		s.stats.OpRuns++
 		deltaOperator.With("run").Inc()
 	}
-	for it := from; it < p.LDAIters; it++ {
-		moved, satisfied := ldaIteration(l, p.LDAGridN, base.Config.Seed, it, base.Timing)
-		lda.Moved += moved
-		lda.Satisfied = satisfied
-		lda.Iterations++
-		if from > 0 {
-			s.stats.OpIterSteps++
-		}
-		if it+1 < p.LDAIters {
-			memo.publishOpIfAbsent(LDAOpKey(p.LDAGridN, it+1),
-				layout.DiffPlacements(base.Layout, l), lda)
-		}
-	}
-	l.ClearBlockages()
-	diff := layout.DiffPlacements(base.Layout, l)
-	memo.publishOp(entry, diff, CellShiftResult{}, lda)
+	cs, lda, diff := s.computeOp(p, from, lda)
+	memo.publishOp(entry, diff, cs, lda)
 	published = true
-	s.adopt(opKey, diff, CellShiftResult{}, lda)
-	res.LDAResult = lda
+	res.CSResult, res.LDAResult = cs, lda
 	return nil
 }
 
-// extendLDA runs only the missing iterations of p's LDA chain on top of
-// the arena's current chain state, publishing each newly completed link.
-func (s *Scratch) extendLDA(p Params, from int, res *Result) error {
-	l, base, memo := s.l, s.base, s.memo
-	lda := s.curLDA
-	unpin := pinCritical(l, base.Timing, slackMarginPS)
-	defer unpin()
-	for it := from; it < p.LDAIters; it++ {
-		moved, satisfied := ldaIteration(l, p.LDAGridN, base.Config.Seed, it, base.Timing)
-		lda.Moved += moved
-		lda.Satisfied = satisfied
-		lda.Iterations++
-		s.stats.OpIterSteps++
-		if it+1 < p.LDAIters {
-			memo.publishOpIfAbsent(LDAOpKey(p.LDAGridN, it+1),
-				layout.DiffPlacements(base.Layout, l), lda)
+// computeOp runs p's operator on the arena — for LDA, from iteration from
+// on top of the arena's acc — publishing every intermediate LDA chain link
+// it completes, and adopts the result as the arena's lineage. Iterations
+// run on a reused prefix count as OpIterSteps.
+func (s *Scratch) computeOp(p Params, from int, acc LDAResult) (CellShiftResult, LDAResult, []layout.InstMove) {
+	l, base := s.l, s.base
+	cs, lda := runOperator(l, base, p, from, acc, func(next int, lda LDAResult) {
+		if from > 0 {
+			s.stats.OpIterSteps++
 		}
-	}
-	l.ClearBlockages()
+		if next < p.LDAIters {
+			s.memo.publishOpIfAbsent(LDAOpKey(p.LDAGridN, next), layout.DiffPlacements(base.Layout, l), lda)
+		}
+	})
 	diff := layout.DiffPlacements(base.Layout, l)
-	memo.publishOpIfAbsent(p.OpKey(), diff, lda)
-	s.adopt(p.OpKey(), diff, CellShiftResult{}, lda)
-	res.LDAResult = lda
-	return nil
+	s.adopt(p.OpKey(), diff, cs, lda)
+	return cs, lda, diff
 }
 
 // dirtyVsDonor marks every net with a terminal on a cell placed
@@ -519,154 +453,40 @@ func (s *Scratch) dirtyVsDonor(d *donorEntry) ([]bool, float64) {
 	return dirty, float64(marked) / float64(total)
 }
 
-// evaluateDelta is EvaluateCtx with a geometry-cached, warm-startable
-// route stage. Everything downstream of route is identical.
-func (s *Scratch) evaluateDelta(ctx context.Context, p Params, res *Result) (err error) {
-	l, base, memo := s.l, s.base, s.memo
-	cfg := base.Config
-	start := time.Now()
-	end := beginEval()
-	defer func() { end(err) }()
-	var (
-		routes *route.Result
-		timing *sta.Result
-		pw     power.Result
-		assess *security.Assessment
-		checks drc.Result
-	)
-	scaleKey := p.ScaleKey()
-	// staChanged and staDonor carry the warm route's per-net change mask
-	// and the donor's timing into the timing stage: delta-STA re-propagates
-	// only the cones of nets the warm route actually changed.
-	var (
-		staChanged []bool
-		staDonor   *sta.Result
-	)
-	routeStage := func() (err error) {
-		geo := memo.geometry(s.curOpKey, l)
-		if d := memo.donor(scaleKey); d != nil {
-			dirty, frac := s.dirtyVsDonor(d)
-			if frac <= warmDirtyMaxFrac {
-				wres, wst, werr := route.Warm(l, cfg.RouteOpts, geo, d.routes, dirty)
-				if werr != nil {
-					return werr
-				}
-				if wres != nil {
-					routes = wres
-					// The STA change mask is the warm route's ChangedNets
-					// plus the dirty nets themselves (a moved cell can shift
-					// a net's HPWL-estimated RC even when its route record
-					// is nil in both runs).
-					staChanged = wst.ChangedNets
-					for id, dt := range dirty {
-						if dt {
-							staChanged[id] = true
-						}
-					}
-					staDonor = d.timing
-					s.stats.RoutesWarm++
-					s.stats.NetsReplayed += wst.Replayed
-					s.stats.NetsRerouted += wst.Rerouted
-					deltaRoutes.With("warm").Inc()
-					deltaNets.With("replayed").Add(float64(wst.Replayed))
-					deltaNets.With("rerouted").Add(float64(wst.Rerouted))
-					return nil
-				}
-			} else {
-				route.CountWarmDecline("dirty_frac")
-			}
-		} else {
-			route.CountWarmDecline("no_donor")
-		}
-		routes, err = route.RouteWithGeometry(l, cfg.RouteOpts, geo)
-		if err != nil {
-			return err
-		}
-		routed := 0
-		for _, nr := range routes.NetRoutes {
-			if nr != nil {
-				routed++
-			}
-		}
-		s.stats.RoutesCold++
-		s.stats.NetsRerouted += routed
-		deltaRoutes.With("cold").Inc()
-		deltaNets.With("rerouted").Add(float64(routed))
-		return nil
+// warmRoute warm-starts the arena's route from the donor routed under the
+// same NDR scale, rerouting only what route.Warm must. It returns the
+// donor's timing and the nets whose timing may differ from it, or a nil
+// route when there is no donor, too many nets are dirty, or route.Warm
+// declines.
+func (s *Scratch) warmRoute(l *layout.Layout, cfg FlowConfig, geo *route.Geometry) (*route.Result, *sta.Result, []bool, error) {
+	dn := s.memo.donor(scaleKey(l.NDR.Scale))
+	if dn == nil {
+		route.CountWarmDecline("no_donor")
+		return nil, nil, nil, nil
 	}
-	stages := []struct {
-		stage Stage
-		f     func() (err error)
-	}{
-		{StageRoute, routeStage},
-		{StageTiming, func() (err error) {
-			opts := sta.Options{Constraints: cfg.Constraints, Routes: routes}
-			if staDonor != nil && staChanged != nil {
-				tres, tds, terr := sta.AnalyzeDelta(l, opts, staDonor, staChanged)
-				if terr != nil {
-					return terr
-				}
-				if tres != nil {
-					timing = tres
-					s.stats.StaDelta++
-					s.stats.StaConeInsts += tds.ConeInsts
-					s.stats.StaConeNets += tds.ConeNets
-					deltaSTA.With("delta").Inc()
-					staConeInsts.Add(float64(tds.ConeInsts))
-					staConeNets.Add(float64(tds.ConeNets))
-					return nil
-				}
-			}
-			timing, err = sta.AnalyzeWithGraph(l, opts, base.TimingGraph())
-			if err == nil {
-				s.stats.StaFull++
-				deltaSTA.With("full").Inc()
-			}
-			return err
-		}},
-		{StagePower, func() (err error) {
-			pw, err = power.Analyze(l, power.Options{Constraints: cfg.Constraints, Routes: routes, Activity: cfg.Activity})
-			return err
-		}},
-		{StageSecurity, func() (err error) {
-			assess, err = security.Assess(l, routes, timing, cfg.Security)
-			return err
-		}},
-		{StageDRC, func() error {
-			checks = drc.Check(l, routes)
-			return nil
-		}},
+	dirty, frac := s.dirtyVsDonor(dn)
+	if frac > warmDirtyMaxFrac {
+		route.CountWarmDecline("dirty_frac")
+		return nil, nil, nil, nil
 	}
-	for _, st := range stages {
-		if err := timedStage(st.stage, st.f); err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
-			return err
+	routes, st, err := route.Warm(l, cfg.RouteOpts, geo, dn.routes, dirty)
+	if routes == nil || err != nil {
+		return nil, nil, nil, err
+	}
+	// The STA change mask is the warm route's ChangedNets plus the dirty
+	// nets themselves (a moved cell can shift a net's HPWL-estimated RC
+	// even when its route record is nil in both runs).
+	changed := st.ChangedNets
+	for id, dt := range dirty {
+		if dt {
+			changed[id] = true
 		}
 	}
-	// A clean result becomes the donor for its scale key — including the
-	// very first route of a fresh scale, so later chromosomes sharing it
-	// warm-start even across islands and workers.
-	if routes.Victims == 0 {
-		memo.putDonor(scaleKey, s.curOpKey, s.curDiff, routes, timing)
-	}
-
-	res.Layout = l
-	res.Config = cfg
-	res.Routes = routes
-	res.Timing = timing
-	res.Assessment = assess
-	res.Metrics = Metrics{
-		Security:      security.Score(assess, base.Assessment, cfg.Alpha),
-		ERSites:       assess.ERSites,
-		ERTracks:      assess.ERTracks,
-		TNS:           timing.TNS,
-		WNS:           timing.WNS,
-		PowerMW:       pw.TotalMW,
-		DRC:           checks.Violations,
-		WirelengthDBU: routes.TotalWL,
-		Runtime:       time.Since(start),
-	}
-	return nil
+	s.stats.RoutesWarm++
+	s.stats.NetsReplayed += st.Replayed
+	s.stats.NetsRerouted += st.Rerouted
+	deltaRoutes.With("warm").Inc()
+	deltaNets.With("replayed").Add(float64(st.Replayed))
+	deltaNets.With("rerouted").Add(float64(st.Rerouted))
+	return routes, dn.timing, changed, nil
 }

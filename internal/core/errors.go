@@ -8,8 +8,9 @@ import (
 )
 
 // Stage identifies the flow stage a failure happened in. Stages mirror the
-// sections of RunCtx/EvaluateCtx: parameter validation, the anti-Trojan
-// placement operator, routing, timing, power, security assessment and DRC.
+// evaluation pipeline (run and evaluate in flow.go): parameter validation,
+// the anti-Trojan placement operator, routing, timing, power, security
+// assessment and DRC.
 type Stage string
 
 // The flow's stages, in execution order.

@@ -25,51 +25,120 @@ func testBaseline(t *testing.T) *Baseline {
 	return base
 }
 
-func TestRunTagsInjectedRouteError(t *testing.T) {
-	base := testBaseline(t)
-	armFaults(t, map[fault.Point]fault.Rule{fault.Route: {Every: 1}})
+// entryPoint is one way to evaluate a chromosome. prepare returns the
+// evaluator to call under an armed fault plan; the same evaluator is
+// called again after the plan is disarmed, so arena entry points must
+// heal themselves from the failed evaluation.
+type entryPoint struct {
+	name    string
+	prepare func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error)
+}
 
-	_, err := Run(base, DefaultParams(base.Layout.Lib().NumLayers()))
-	if err == nil {
-		t.Fatal("Run succeeded under an always-failing router")
+// entryPoints covers the three ways a chromosome reaches the pipeline: a
+// fresh clone, a plain arena, and a delta arena on its second evaluation,
+// when a warm-start donor exists and the route and timing stages take the
+// route.Warm / sta.AnalyzeDelta path.
+var entryPoints = []entryPoint{
+	{"Run", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
+		return func(p Params) (*Result, error) { return Run(base, p) }
+	}},
+	{"NewScratchPlain", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
+		return NewScratchPlain(base).Run
+	}},
+	{"NewScratch second evaluation", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
+		s := NewScratch(base)
+		if _, err := s.Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if base.Memo().donor(p.ScaleKey()) == nil {
+			t.Fatal("first delta evaluation left no warm-start donor")
+		}
+		return s.Run
+	}},
+}
+
+// checkHealed re-runs p on an evaluator that just failed and compares the
+// result with a fresh from-clone evaluation.
+func checkHealed(t *testing.T, base *Baseline, p Params, eval func(Params) (*Result, error)) {
+	t.Helper()
+	fault.Disarm()
+	got, err := eval(p)
+	if err != nil {
+		t.Fatalf("evaluation after the fault: %v", err)
 	}
-	var fe *FlowError
-	if !errors.As(err, &fe) {
-		t.Fatalf("error %T is not a *FlowError: %v", err, err)
+	want, err := Run(base, p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fe.Stage != StageRoute || fe.Class != ClassPermanent {
-		t.Errorf("tag = %s/%s, want %s/%s", fe.Stage, fe.Class, StageRoute, ClassPermanent)
+	sameMetrics(t, "after fault", got.Metrics, want.Metrics)
+}
+
+func TestRunTagsInjectedStageErrors(t *testing.T) {
+	base := testBaseline(t)
+	p := DefaultParams(base.Layout.Lib().NumLayers())
+	faults := []struct {
+		point fault.Point
+		stage Stage
+	}{
+		{fault.Route, StageRoute},
+		{fault.STA, StageTiming},
 	}
-	if StageOf(err) != StageRoute || Classify(err) != ClassPermanent {
-		t.Errorf("StageOf/Classify = %s/%s", StageOf(err), Classify(err))
+	for _, ep := range entryPoints {
+		for _, f := range faults {
+			t.Run(ep.name+"/"+string(f.point), func(t *testing.T) {
+				eval := ep.prepare(t, base, p)
+				armFaults(t, map[fault.Point]fault.Rule{f.point: {Every: 1}})
+				_, err := eval(p)
+				if err == nil {
+					t.Fatalf("evaluation succeeded under an always-failing %s", f.point)
+				}
+				var fe *FlowError
+				if !errors.As(err, &fe) {
+					t.Fatalf("error %T is not a *FlowError: %v", err, err)
+				}
+				if fe.Stage != f.stage || fe.Class != ClassPermanent {
+					t.Errorf("tag = %s/%s, want %s/%s", fe.Stage, fe.Class, f.stage, ClassPermanent)
+				}
+				if StageOf(err) != f.stage || Classify(err) != ClassPermanent {
+					t.Errorf("StageOf/Classify = %s/%s", StageOf(err), Classify(err))
+				}
+				checkHealed(t, base, p, eval)
+			})
+		}
 	}
 }
 
 func TestRunContainsInjectedPanicWithStack(t *testing.T) {
 	base := testBaseline(t)
-	armFaults(t, map[fault.Point]fault.Rule{fault.STA: {Every: 1, Panic: true}})
-
-	_, err := Run(base, DefaultParams(base.Layout.Lib().NumLayers()))
-	if err == nil {
-		t.Fatal("Run succeeded under a panicking STA engine")
-	}
-	var pe *FlowPanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %T is not a *FlowPanicError: %v", err, err)
-	}
-	if pe.Stage != StageTiming {
-		t.Errorf("panic stage = %s, want %s", pe.Stage, StageTiming)
-	}
-	if len(pe.Stack) == 0 {
-		t.Error("panic error carries no captured stack")
-	}
-	if Classify(err) != ClassPanic {
-		t.Errorf("Classify = %s, want %s", Classify(err), ClassPanic)
-	}
-	// The injected error panic value must stay reachable for errors.As.
-	var ie *fault.Error
-	if !errors.As(err, &ie) {
-		t.Error("panic value not reachable through the error chain")
+	p := DefaultParams(base.Layout.Lib().NumLayers())
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			eval := ep.prepare(t, base, p)
+			armFaults(t, map[fault.Point]fault.Rule{fault.STA: {Every: 1, Panic: true}})
+			_, err := eval(p)
+			if err == nil {
+				t.Fatal("evaluation succeeded under a panicking STA engine")
+			}
+			var pe *FlowPanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %T is not a *FlowPanicError: %v", err, err)
+			}
+			if pe.Stage != StageTiming {
+				t.Errorf("panic stage = %s, want %s", pe.Stage, StageTiming)
+			}
+			if len(pe.Stack) == 0 {
+				t.Error("panic error carries no captured stack")
+			}
+			if Classify(err) != ClassPanic {
+				t.Errorf("Classify = %s, want %s", Classify(err), ClassPanic)
+			}
+			// The injected error panic value must stay reachable for errors.As.
+			var ie *fault.Error
+			if !errors.As(err, &ie) {
+				t.Error("panic value not reachable through the error chain")
+			}
+			checkHealed(t, base, p, eval)
+		})
 	}
 }
 

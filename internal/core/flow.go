@@ -127,67 +127,20 @@ func (b *Baseline) TimingGraph() *sta.Graph {
 // security assessment. The baseline layout itself is not modified. Stage
 // failures (including recovered panics) come back stage-tagged and
 // classified (see FlowError / FlowPanicError).
-func EvalBaseline(l *layout.Layout, cfg FlowConfig) (b *Baseline, err error) {
+func EvalBaseline(l *layout.Layout, cfg FlowConfig) (*Baseline, error) {
 	cfg = cfg.normalized()
-	start := time.Now()
-	end := beginEval()
-	defer func() { end(err) }()
-	var (
-		routes *route.Result
-		timing *sta.Result
-		pw     power.Result
-		assess *security.Assessment
-		checks drc.Result
-	)
-	stages := []struct {
-		stage Stage
-		f     func() (err error)
-	}{
-		{StageRoute, func() (err error) {
-			routes, err = route.Route(l, cfg.RouteOpts)
-			return err
-		}},
-		{StageTiming, func() (err error) {
-			timing, err = sta.Analyze(l, sta.Options{Constraints: cfg.Constraints, Routes: routes})
-			return err
-		}},
-		{StagePower, func() (err error) {
-			pw, err = power.Analyze(l, power.Options{Constraints: cfg.Constraints, Routes: routes, Activity: cfg.Activity})
-			return err
-		}},
-		{StageSecurity, func() (err error) {
-			assess, err = security.Assess(l, routes, timing, cfg.Security)
-			return err
-		}},
-		{StageDRC, func() error {
-			checks = drc.Check(l, routes)
-			return nil
-		}},
+	res := &Result{}
+	if err := evaluate(context.Background(), l, cfg, nil, nil, res); err != nil {
+		return nil, err
 	}
-	for _, s := range stages {
-		if err := timedStage(s.stage, s.f); err != nil {
-			return nil, err
-		}
-	}
-	b = &Baseline{
+	return &Baseline{
 		Layout:     l,
-		Routes:     routes,
-		Timing:     timing,
-		Assessment: assess,
+		Routes:     res.Routes,
+		Timing:     res.Timing,
+		Assessment: res.Assessment,
 		Config:     cfg,
-		Metrics: Metrics{
-			Security:      1.0,
-			ERSites:       assess.ERSites,
-			ERTracks:      assess.ERTracks,
-			TNS:           timing.TNS,
-			WNS:           timing.WNS,
-			PowerMW:       pw.TotalMW,
-			DRC:           checks.Violations,
-			WirelengthDBU: routes.TotalWL,
-			Runtime:       time.Since(start),
-		},
-	}
-	return b, nil
+		Metrics:    res.Metrics,
+	}, nil
 }
 
 // Result is one hardened layout with its metrics.
@@ -236,35 +189,52 @@ func Run(base *Baseline, p Params) (*Result, error) {
 // bad evaluation can be retried or degraded by callers instead of taking
 // down a whole exploration.
 func RunCtx(ctx context.Context, base *Baseline, p Params) (*Result, error) {
+	return run(ctx, base, nil, p)
+}
+
+// Evaluate routes the (already transformed) layout and fills the result's
+// routes, timing, security assessment and metrics, normalized against the
+// baseline. It is shared between the GDSII-Guard flow and the baseline
+// defenses so every scheme is measured identically.
+func Evaluate(l *layout.Layout, base *Baseline, res *Result) error {
+	return evaluate(context.Background(), l, base.Config, base, nil, res)
+}
+
+// run executes the whole flow for Run, RunCtx and Scratch.RunCtx. It
+// validates p, materializes the working layout (a fresh clone when s is
+// nil, otherwise the rewound arena), preprocesses it, applies the operator
+// — through the stage memo when s has one, directly otherwise — installs
+// the NDR scale vector (Routing Width Scaling) and evaluates the result.
+func run(ctx context.Context, base *Baseline, s *Scratch, p Params) (*Result, error) {
 	if err := p.Validate(base.Layout.Lib().NumLayers()); err != nil {
 		return nil, &FlowError{Stage: StageValidate, Class: ClassPermanent, Err: err}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return runOn(ctx, base, base.Layout.Clone(), p)
-}
-
-// runOn applies the flow to an already-materialized working layout (a fresh
-// clone for RunCtx, the reusable arena for Scratch). The layout is mutated.
-func runOn(ctx context.Context, base *Baseline, l *layout.Layout, p Params) (*Result, error) {
-	cfg := base.Config
+	var l *layout.Layout
+	var d *Scratch // s, when it evaluates through the stage memo
+	switch {
+	case s == nil:
+		l = base.Layout.Clone()
+	case s.memo == nil:
+		s.reset()
+		l = s.l
+		deltaEvals.With("scratch").Inc()
+	default:
+		s.reset()
+		l, d = s.l, s
+		deltaEvals.With("delta").Inc()
+	}
 	start := time.Now()
 	Preprocess(l)
 
 	res := &Result{Layout: l, Params: p.Clone()}
 	if err := timedStage(StageOperator, func() error {
-		// Pin near-critical cells for the duration of the operator so
-		// neither ECO placement nor cell shifting disturbs the critical
-		// paths (the operators are timing-driven).
-		unpin := pinCritical(l, base.Timing, slackMarginPS)
-		defer unpin()
-		switch p.Op {
-		case CS:
-			res.CSResult = CellShift(l, cfg.Security.ThreshER)
-		case LDA:
-			res.LDAResult = LocalDensityAdjust(l, p.LDAGridN, p.LDAIters, cfg.Seed, base.Timing)
+		if d != nil {
+			return d.applyOperator(ctx, p, res)
 		}
+		res.CSResult, res.LDAResult = runOperator(l, base, p, 0, LDAResult{}, nil)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -273,51 +243,64 @@ func runOn(ctx context.Context, base *Baseline, l *layout.Layout, p Params) (*Re
 		return nil, err
 	}
 
-	// Routing Width Scaling: install the NDR, then (re-)route everything
-	// under it.
+	// Routing Width Scaling: install the NDR, then (re-)route under it.
 	copy(l.NDR.Scale, p.ScaleM)
-	if err := EvaluateCtx(ctx, l, base, res); err != nil {
+	if err := evaluate(ctx, l, base.Config, base, d, res); err != nil {
 		return nil, err
 	}
 	res.Metrics.Runtime = time.Since(start)
 	return res, nil
 }
 
-// Evaluate routes the (already transformed) layout and fills the result's
-// routes, timing, security assessment and metrics, normalized against the
-// baseline. It is shared between the GDSII-Guard flow and the baseline
-// defenses so every scheme is measured identically.
-func Evaluate(l *layout.Layout, base *Baseline, res *Result) error {
-	return EvaluateCtx(context.Background(), l, base, res)
+// runOperator runs p's ECO placement operator on l with near-critical cells
+// pinned: Cell Shift, or the LDA chain from iteration from on top of acc
+// (the telemetry of the iterations l already holds). step, when non-nil,
+// sees every completed LDA iteration.
+func runOperator(l *layout.Layout, base *Baseline, p Params, from int, acc LDAResult, step func(next int, lda LDAResult)) (CellShiftResult, LDAResult) {
+	// Pin near-critical cells for the duration of the operator so neither
+	// ECO placement nor cell shifting disturbs the critical paths (the
+	// operators are timing-driven).
+	unpin := pinCritical(l, base.Timing, slackMarginPS)
+	defer unpin()
+	if p.Op == CS {
+		return CellShift(l, base.Config.Security.ThreshER), LDAResult{}
+	}
+	return CellShiftResult{}, ldaChain(l, p.LDAGridN, from, p.LDAIters, base.Config.Seed, base.Timing, acc, step)
 }
 
-// EvaluateCtx is Evaluate with cooperative cancellation between analysis
-// stages. Each stage runs under panic containment and failures come back
-// stage-tagged and classified. The result's Metrics.Runtime is the wall
-// time of the evaluation itself (RunCtx widens it to the whole flow), so
-// baseline-defense comparisons report a real runtime instead of zero.
-func EvaluateCtx(ctx context.Context, l *layout.Layout, base *Baseline, res *Result) (err error) {
-	cfg := base.Config
+// evaluate runs the analysis stages — route, timing, power, security, DRC
+// — on l, which already holds its final placement and NDR, and fills res.
+// Each stage runs under panic containment, failures come back stage-tagged
+// and classified, and ctx is observed between stages. ref is the baseline
+// the metrics are normalized against; nil evaluates the baseline itself
+// (Security is 1.0 by construction and the timing analysis levelizes the
+// graph). d is the delta arena whose stage memo the route and timing
+// stages may reuse; nil routes cold and analyzes the whole graph. The
+// result's Metrics.Runtime is the wall time of the evaluation itself (run
+// widens it to the whole flow).
+func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, res *Result) (err error) {
 	start := time.Now()
 	end := beginEval()
 	defer func() { end(err) }()
 	var (
-		routes *route.Result
-		timing *sta.Result
-		pw     power.Result
-		assess *security.Assessment
-		checks drc.Result
+		routes  *route.Result
+		donor   *sta.Result
+		changed []bool
+		timing  *sta.Result
+		pw      power.Result
+		assess  *security.Assessment
+		checks  drc.Result
 	)
 	stages := []struct {
 		stage Stage
 		f     func() (err error)
 	}{
 		{StageRoute, func() (err error) {
-			routes, err = route.Route(l, cfg.RouteOpts)
+			routes, donor, changed, err = routeStage(l, cfg, d)
 			return err
 		}},
 		{StageTiming, func() (err error) {
-			timing, err = sta.AnalyzeWithGraph(l, sta.Options{Constraints: cfg.Constraints, Routes: routes}, base.TimingGraph())
+			timing, err = timingStage(l, cfg, ref, d, routes, donor, changed)
 			return err
 		}},
 		{StagePower, func() (err error) {
@@ -341,14 +324,24 @@ func EvaluateCtx(ctx context.Context, l *layout.Layout, base *Baseline, res *Res
 			return err
 		}
 	}
+	// A clean result becomes the donor for its scale key — including the
+	// very first route of a fresh scale, so later chromosomes sharing it
+	// warm-start even across islands and workers.
+	if d != nil && routes.Victims == 0 {
+		d.memo.putDonor(scaleKey(routes.NDRScale), d.curOpKey, d.curDiff, routes, timing)
+	}
 
+	score := 1.0
+	if ref != nil {
+		score = security.Score(assess, ref.Assessment, cfg.Alpha)
+	}
 	res.Layout = l
 	res.Config = cfg
 	res.Routes = routes
 	res.Timing = timing
 	res.Assessment = assess
 	res.Metrics = Metrics{
-		Security:      security.Score(assess, base.Assessment, cfg.Alpha),
+		Security:      score,
 		ERSites:       assess.ERSites,
 		ERTracks:      assess.ERTracks,
 		TNS:           timing.TNS,
@@ -359,6 +352,72 @@ func EvaluateCtx(ctx context.Context, l *layout.Layout, base *Baseline, res *Res
 		Runtime:       time.Since(start),
 	}
 	return nil
+}
+
+// routeStage routes l under its installed NDR. Without a delta arena it
+// builds the placement geometry and routes cold. A delta arena reuses the
+// memoized geometry of its operator placement and first tries a warm start
+// (Scratch.warmRoute), which also hands the timing stage its donor timing
+// and change mask; a declined warm start routes cold. Both paths are
+// bit-identical to routing from scratch.
+func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch) (routes *route.Result, donor *sta.Result, changed []bool, err error) {
+	var geo *route.Geometry
+	if d == nil {
+		geo = route.BuildGeometry(l)
+	} else {
+		geo = d.memo.geometry(d.curOpKey, l)
+		if routes, donor, changed, err = d.warmRoute(l, cfg, geo); routes != nil || err != nil {
+			return routes, donor, changed, err
+		}
+	}
+	if routes, err = route.RouteWithGeometry(l, cfg.RouteOpts, geo); err != nil || d == nil {
+		return routes, nil, nil, err
+	}
+	routed := 0
+	for _, nr := range routes.NetRoutes {
+		if nr != nil {
+			routed++
+		}
+	}
+	d.stats.RoutesCold++
+	d.stats.NetsRerouted += routed
+	deltaRoutes.With("cold").Inc()
+	deltaNets.With("rerouted").Add(float64(routed))
+	return routes, nil, nil, nil
+}
+
+// timingStage analyzes the routed layout. After a warm route it
+// re-propagates only the cones of the changed nets on top of the donor's
+// timing (sta.AnalyzeDelta); otherwise, or when the donor is incompatible,
+// it analyzes the whole graph, reusing the baseline's levelization when
+// there is a reference baseline.
+func timingStage(l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, routes *route.Result, donor *sta.Result, changed []bool) (*sta.Result, error) {
+	opts := sta.Options{Constraints: cfg.Constraints, Routes: routes}
+	if donor != nil && changed != nil {
+		tres, tds, err := sta.AnalyzeDelta(l, opts, donor, changed)
+		if err != nil {
+			return nil, err
+		}
+		if tres != nil {
+			d.stats.StaDelta++
+			d.stats.StaConeInsts += tds.ConeInsts
+			d.stats.StaConeNets += tds.ConeNets
+			deltaSTA.With("delta").Inc()
+			staConeInsts.Add(float64(tds.ConeInsts))
+			staConeNets.Add(float64(tds.ConeNets))
+			return tres, nil
+		}
+	}
+	var graph *sta.Graph
+	if ref != nil {
+		graph = ref.TimingGraph()
+	}
+	timing, err := sta.AnalyzeWithGraph(l, opts, graph)
+	if err == nil && d != nil {
+		d.stats.StaFull++
+		deltaSTA.With("full").Inc()
+	}
+	return timing, err
 }
 
 // pinCritical temporarily marks cells with slack below marginPS as Fixed;

@@ -34,16 +34,26 @@ func LocalDensityAdjust(l *layout.Layout, gridN, iters int, seed int64, timing *
 	if gridN < 1 {
 		gridN = 1
 	}
-	var res LDAResult
-	for it := 0; it < iters; it++ {
+	return ldaChain(l, gridN, 0, iters, seed, timing, LDAResult{}, nil)
+}
+
+// ldaChain runs iterations from..to-1 of an LDA chain on a layout that
+// already holds the first from iterations (acc is their telemetry) and
+// returns the chain's telemetry. step, when non-nil, is called after each
+// iteration with the number of iterations now applied.
+func ldaChain(l *layout.Layout, gridN, from, to int, seed int64, timing *sta.Result, acc LDAResult, step func(next int, lda LDAResult)) LDAResult {
+	for it := from; it < to; it++ {
 		moved, satisfied := ldaIteration(l, gridN, seed, it, timing)
-		res.Moved += moved
-		res.Satisfied = satisfied
-		res.Iterations++
+		acc.Moved += moved
+		acc.Satisfied = satisfied
+		acc.Iterations++
+		if step != nil {
+			step(it+1, acc)
+		}
 	}
 	// Blockages are transient scaffolding of the operator.
 	l.ClearBlockages()
-	return res
+	return acc
 }
 
 // ldaIteration runs one iteration of Algorithm 2 with absolute iteration
@@ -184,13 +194,11 @@ func fillTile(l *layout.Layout, r0, r1, s0, s1 int, capD float64, timing *sta.Re
 		if placedAt < 0 {
 			break // tile fragmented: no slot fits any further cell
 		}
-		old := l.PlacementOf(c.in)
 		if err := l.Place(c.in, row, placedAt); err != nil {
 			continue
 		}
 		budget -= w
 		moved++
-		_ = old
 	}
 	return moved
 }
@@ -200,20 +208,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // assetCounts returns the number of security-critical cells per grid tile.

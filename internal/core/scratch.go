@@ -27,8 +27,8 @@ type Scratch struct {
 	base *Baseline
 	l    *layout.Layout
 	// memo is the baseline's shared cross-chromosome stage cache; nil
-	// disables delta evaluation (every run goes through runOn from the
-	// baseline placement).
+	// disables delta evaluation (every stage runs from the baseline
+	// placement, exactly as for a fresh clone).
 	memo *StageMemo
 
 	// Pristine state the arena is rewound to before each evaluation.
@@ -132,28 +132,13 @@ func (s *Scratch) Run(p Params) (*Result, error) {
 }
 
 // RunCtx evaluates one parameter vector exactly like core.RunCtx — same
-// stages, same metrics — but on the reusable arena instead of a fresh
+// pipeline, same metrics — but on the reusable arena instead of a fresh
 // clone. The result carries Metrics and operator telemetry only: Layout,
 // Routes, Timing and Assessment are stripped, because they alias (or
 // reference instances of) the arena, which the next evaluation mutates.
 // Callers that need the hardened layout itself use core.RunCtx.
 func (s *Scratch) RunCtx(ctx context.Context, p Params) (*Result, error) {
-	if err := p.Validate(s.base.Layout.Lib().NumLayers()); err != nil {
-		return nil, &FlowError{Stage: StageValidate, Class: ClassPermanent, Err: err}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.reset()
-	var res *Result
-	var err error
-	if s.memo != nil {
-		deltaEvals.With("delta").Inc()
-		res, err = s.runDelta(ctx, p)
-	} else {
-		deltaEvals.With("scratch").Inc()
-		res, err = runOn(ctx, s.base, s.l, p)
-	}
+	res, err := run(ctx, s.base, s, p)
 	if err != nil {
 		return nil, err
 	}

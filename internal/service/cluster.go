@@ -61,20 +61,7 @@ func (m *Manager) executeClusterExplore(ctx context.Context, job *Job) (*gdsiigu
 		Failures:    res.Failures,
 		Islands:     res.Islands,
 		Migrations:  res.Migrations,
-		Delta: gdsiiguard.DeltaStats{
-			OpRuns:       res.Delta.OpRuns,
-			OpMemoHits:   res.Delta.OpMemoHits,
-			OpArenaHits:  res.Delta.OpArenaHits,
-			OpIterSteps:  res.Delta.OpIterSteps,
-			RoutesWarm:   res.Delta.RoutesWarm,
-			RoutesCold:   res.Delta.RoutesCold,
-			NetsReplayed: res.Delta.NetsReplayed,
-			NetsRerouted: res.Delta.NetsRerouted,
-			StaFull:      res.Delta.StaFull,
-			StaDelta:     res.Delta.StaDelta,
-			StaConeInsts: res.Delta.StaConeInsts,
-			StaConeNets:  res.Delta.StaConeNets,
-		},
+		Delta:       res.Delta,
 	}
 	for _, in := range res.Front {
 		out.Front = append(out.Front, gdsiiguard.ParetoPoint{

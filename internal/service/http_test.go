@@ -140,6 +140,15 @@ func TestHTTPHardenEndToEnd(t *testing.T) {
 		t.Error("attack job has no attack payload")
 	}
 
+	// Exploration JSON keeps its delta keys: gdsiiguard.DeltaStats is
+	// core.DeltaStats, whose JSON tags name them.
+	ex := jobJSON(Snapshot{Result: &Result{Exploration: &gdsiiguard.Exploration{
+		Delta: gdsiiguard.DeltaStats{OpRuns: 2, StaConeNets: 5},
+	}}})
+	if raw, _ := json.Marshal(ex); !strings.Contains(string(raw), `"delta":{"op_runs":2,"op_memo_hits":0,"op_arena_hits":0,"op_iter_steps":0,"routes_warm":0,"routes_cold":0,"nets_replayed":0,"nets_rerouted":0,"sta_full":0,"sta_delta":0,"sta_cone_insts":0,"sta_cone_nets":5}`) {
+		t.Errorf("exploration JSON lost its delta keys: %s", raw)
+	}
+
 	// Stats reflect the work done.
 	stats := doJSON(t, http.MethodGet, srv.URL+"/v1/stats", nil, http.StatusOK)
 	if stats["cache_hits"].(float64) < 1 {
