@@ -1,34 +1,51 @@
 package route
 
-// Wave-parallel pattern routing. Workers route batches of pending nets
-// speculatively against an immutable snapshot of committed track usage
-// (private overlays absorb each net's own writes); a sequential commit pass
-// then walks the pending nets in canonical order and accepts each net only
-// if its two-pin connection rectangles miss the wave's conflict mask. The
-// mask accumulates (a) the segments of nets committed earlier in this wave
-// and (b) the full connection rectangles of nets requeued earlier in this
-// wave, so an accepted net provably read exactly the usage the sequential
-// router would have shown it, and a requeued net shadows its whole
-// read/write region until it actually routes.
+// Wave-parallel pattern routing as a bounded speculate–validate–redo loop.
+// The batch (canonical order) is cut into windows of w·minNetsPerWorker
+// nets. Workers route every net of a window once, speculatively, against
+// the usage committed before the window (the snapshot) plus that net's own
+// writes, which land in a per-net overlay. A sequential commit pass then
+// walks the window in canonical order, keeping a mask of every GCell
+// written since the snapshot:
 //
-// Bit-identity to the sequential loop follows from three facts:
+//   - if the net's two-pin read rectangles miss the mask, its speculative
+//     route is accepted and its usage booked;
+//   - otherwise the net is routed again right there by the sequential
+//     router, against live usage;
 //
-//   - The router's reads and writes for a net are confined to the GCells
-//     inside its per-connection endpoint rectangles (the same containment
-//     touchesDelta relies on for warm starts). A committed net's rects miss
-//     every earlier same-wave commit and every earlier requeued net's
-//     rects, so the snapshot it speculated against equals the usage state
-//     of the sequential run at its turn — its own writes are replayed
-//     through the overlay with effective values, preserving the exact
-//     floating-point accumulation order within the net.
-//   - Two nets that write a shared GCell can never commit in the same wave
-//     (the earlier one's segments mark the cell before the later one is
-//     tested), and a requeued earlier net forces every overlapping later
-//     net to requeue with it, so per-cell usage additions happen in
-//     canonical net order across waves — float sums associate exactly as
-//     in the sequential run.
-//   - The first pending net of every wave always commits (the mask is
-//     empty at its turn), so the fixpoint terminates in at most N waves.
+// and either way the committed segments join the mask.
+//
+// Invariant: at every net's commit turn, live usage equals the usage the
+// sequential loop holds at that net's turn. By induction: commits happen
+// in canonical order, and each books exactly the per-cell additions the
+// sequential loop makes for that net. The router's reads and writes for a
+// net are confined to its per-connection read rectangles (the containment
+// touchesDelta relies on for warm starts). Live usage differs from the
+// snapshot only on masked cells, so an accepted net read exactly the
+// sequential state. Its own writes were replayed through the overlay with
+// effective values, so even the floating-point accumulation order within
+// the net matches. A redone net reads the sequential state directly.
+//
+// The overlay must be per net, not per worker batch: a redone net's
+// discarded speculative writes never reach the mask, so a later net of the
+// same worker that read them would be accepted with a stale decision.
+//
+// Speculating a window costs about 1/w of routing it sequentially, plus
+// the redo of every conflicting net, so it only pays while fewer than a
+// fraction 1 − 1/w of the window's nets conflict. The commit pass counts
+// the conflicts even when it routed the whole window inline, and the next
+// window is speculated only if this one stayed under that fraction. The
+// first window of each batch is always speculated. On the small benchmark
+// designs the long nets that come first conflict almost always, so most of
+// their windows are routed inline; on large designs few nets conflict and
+// nearly every window is speculated. Either way the result is the same.
+//
+// Cost bound: every net is routed speculatively at most once and inline at
+// most once, so a batch of N nets costs at most 2N net routes. Beyond that,
+// the commit pass tests each net's read rectangles against the mask and
+// clears the mask after each window by walking the window's committed
+// segments; the overlay resets in O(1). There is no requeue, so nothing is
+// quadratic in the batch size.
 //
 // Tie-breaking needs no coordination: candidate selection is strict-less
 // cost comparison (first-best wins deterministically) and rip-up victim
@@ -62,13 +79,17 @@ const (
 	// parallelMinNets is the batch size below which the sequential loop
 	// always wins (goroutine + overlay overhead beats the speculation).
 	parallelMinNets = 192
-	// minNetsPerWorker bounds how small a speculation batch may get.
+	// minNetsPerWorker is each worker's share of a speculation window, and
+	// bounds how many workers a batch can use.
 	minNetsPerWorker = 24
 )
 
 // ResolvedWorkers reports how many workers the router will actually use for
-// a batch of numNets nets under the current setting — 1 means the
-// sequential path (single CPU, small batch, or an explicit SetWorkers(1)).
+// a batch of numNets nets under the current setting: the setting (GOMAXPROCS
+// when 0), capped at numNets/minNetsPerWorker. 1 means the sequential path
+// (single CPU, a batch under parallelMinNets nets, or an explicit
+// SetWorkers(1)). With w > 1 workers the batch is routed in windows of
+// w·minNetsPerWorker nets, each net speculated at most once.
 func ResolvedWorkers(numNets int) int {
 	if numNets < parallelMinNets {
 		return 1
@@ -77,14 +98,18 @@ func ResolvedWorkers(numNets int) int {
 	if n == 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	if max := numNets / minNetsPerWorker; n > max {
-		n = max
+	if most := numNets / minNetsPerWorker; n > most {
+		n = most
 	}
 	if n < 1 {
 		n = 1
 	}
 	return n
 }
+
+// speculated counts nets routed speculatively, for tests that bound the
+// speculation work of a batch.
+var speculated atomic.Int64
 
 // netOrderHash is a splitmix64-style mix of (seed, net ID): the
 // self-contained per-net tie-break key used to order rip-up victims.
@@ -98,135 +123,143 @@ func netOrderHash(seed int64, id int32) uint64 {
 	return x
 }
 
-// usageOverlay is a worker's private view of track usage during
-// speculation: a sparse map from (layer, GCell) to the *effective* usage
-// value there. Storing effective values — seeded from the committed
+// usageOverlay is a worker's private view of one net's track usage during
+// speculation: the *effective* usage value at each (layer, GCell) the net
+// has written, stored densely and valid where the cell's mark equals the
+// current generation. Storing effective values — seeded from the committed
 // snapshot on first write — rather than deltas keeps the floating-point
 // addition order within a net identical to committing against the live
 // grid: base + s1 + s2 associates left-to-right in both.
 type usageOverlay struct {
-	m map[uint64]float64
+	cells int // GCells per layer
+	val   []float64
+	mark  []uint32
+	gen   uint32
 }
 
-func newUsageOverlay() *usageOverlay {
-	return &usageOverlay{m: make(map[uint64]float64, 512)}
-}
-
-func (o *usageOverlay) reset() {
-	for k := range o.m {
-		delete(o.m, k)
+func newUsageOverlay(layers, cells int) *usageOverlay {
+	return &usageOverlay{
+		cells: cells,
+		val:   make([]float64, layers*cells),
+		mark:  make([]uint32, layers*cells),
+		gen:   1,
 	}
 }
 
-func overlayKey(li, idx int) uint64 { return uint64(li)<<48 | uint64(uint32(idx)) }
+// reset forgets every write by advancing the generation.
+func (o *usageOverlay) reset() {
+	o.gen++
+	if o.gen == 0 {
+		clear(o.mark)
+		o.gen = 1
+	}
+}
 
 func (o *usageOverlay) get(li, idx int) (float64, bool) {
-	v, ok := o.m[overlayKey(li, idx)]
-	return v, ok
+	k := li*o.cells + idx
+	if o.mark[k] == o.gen {
+		return o.val[k], true
+	}
+	return 0, false
 }
 
 // add books scale at (li, idx), seeding the effective value from base (the
 // committed snapshot) on first touch.
 func (o *usageOverlay) add(li, idx int, base, scale float64) {
-	k := overlayKey(li, idx)
-	if v, ok := o.m[k]; ok {
-		o.m[k] = v + scale
+	k := li*o.cells + idx
+	if o.mark[k] == o.gen {
+		o.val[k] += scale
 	} else {
-		o.m[k] = base + scale
+		o.mark[k] = o.gen
+		o.val[k] = base + scale
 	}
-}
-
-// reset clears the mask for reuse across waves.
-func (d *deltaMask) reset() {
-	for i := range d.m {
-		d.m[i] = false
-	}
-}
-
-// addRect marks every GCell of the inclusive rectangle.
-func (d *deltaMask) addRect(q gcellRect) {
-	for r := q.r0; r <= q.r1; r++ {
-		row := d.m[r*d.g.Cols : (r+1)*d.g.Cols]
-		for c := q.c0; c <= q.c1; c++ {
-			row[c] = true
-		}
-	}
-}
-
-// blockConns paints the net's per-connection read rectangles into the
-// mask — the superset of every GCell the net can read or write.
-func (r *router) blockConns(d *deltaMask, oi int32) {
-	for _, c := range r.geo.Conns[oi] {
-		d.addRect(connReadRect(r.res.Grid, c))
-	}
-}
-
-// applySpec commits a speculatively routed net: usage is booked along every
-// segment exactly as the sequential commit would, and the route is
-// recorded.
-func (r *router) applySpec(nr *NetRoute) {
-	for _, s := range nr.Segments {
-		scale := r.l.NDR.LayerScale(s.Metal)
-		r.walk(s.A, s.B, func(idx int) {
-			r.res.Usage[s.Metal-1][idx] += scale
-		})
-	}
-	r.res.NetRoutes[nr.Net.ID] = nr
 }
 
 // routeWaves routes the given nets (canonical order) with w speculative
-// workers and a deterministic commit pass per wave.
+// workers, one window of w·minNetsPerWorker nets at a time.
 func (r *router) routeWaves(order []int32, w int) {
-	pending := append([]int32(nil), order...)
-	next := make([]int32, 0, len(pending))
-	specs := make([]*NetRoute, len(pending))
+	layers, cells := len(r.res.Usage), r.res.Grid.Cols*r.res.Grid.Rows
 	workers := make([]*router, w)
 	for i := range workers {
-		workers[i] = &router{l: r.l, res: r.res, geo: r.geo, seed: r.seed, spec: newUsageOverlay()}
+		workers[i] = &router{l: r.l, res: r.res, geo: r.geo, seed: r.seed, spec: newUsageOverlay(layers, cells)}
 	}
-	conflict := newDeltaMask(r.res.Grid)
+	window := w * minNetsPerWorker
+	specs := make([]*NetRoute, window)
+	written := newDeltaMask(r.res.Grid)
 
-	for len(pending) > 0 {
-		// Speculate: each worker routes a contiguous batch against the
-		// committed snapshot (res.Usage is not written during this phase).
-		sp := specs[:len(pending)]
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			lo, hi := wi*len(pending)/w, (wi+1)*len(pending)/w
-			if lo == hi {
-				continue
-			}
-			wg.Add(1)
-			go func(rw *router, lo, hi int) {
-				defer wg.Done()
-				rw.spec.reset()
-				for i := lo; i < hi; i++ {
-					sp[i] = rw.buildGeoNet(int(pending[i]))
-				}
-			}(workers[wi], lo, hi)
+	for lo, specOn := 0, true; lo < len(order); lo += window {
+		batch := order[lo:min(lo+window, len(order))]
+		sp := specs[:len(batch)]
+		if specOn {
+			speculate(workers, batch, sp)
 		}
-		wg.Wait()
 
-		// Commit in canonical order; conflicted nets requeue for the next
-		// wave, preserving their relative order.
-		conflict.reset()
-		next = next[:0]
+		// Commit in canonical order, routing inline every net that was not
+		// speculated or whose read rectangles meet a cell written since
+		// the snapshot.
 		painted := false
-		for i, oi := range pending {
+		conflicts := 0
+		for i, oi := range batch {
+			if len(r.geo.Conns[oi]) == 0 {
+				continue // routes nothing, conflicts with nothing
+			}
+			hit := painted && r.touchesDelta(written, oi)
+			if hit {
+				conflicts++
+			}
 			nr := sp[i]
-			sp[i] = nil
-			if nr == nil {
-				continue // no connections: routes nothing, conflicts with nothing
+			switch {
+			case nr == nil:
+				nr = r.buildGeoNet(int(oi))
+				sp[i] = nr
+			case hit:
+				r.rerouteGeoNet(nr, int(oi))
+			default:
+				r.book(nr.Segments)
 			}
-			if painted && r.touchesDelta(conflict, oi) {
-				next = append(next, oi)
-				r.blockConns(conflict, oi)
-				continue
-			}
-			r.applySpec(nr)
-			conflict.addSegments(nr.Segments)
+			r.res.NetRoutes[nr.Net.ID] = nr
+			written.addSegments(nr.Segments)
 			painted = true
 		}
-		pending, next = next, pending[:0]
+		// Speculate the next window only if this one's conflicts stayed
+		// under the break-even fraction 1 − 1/w.
+		specOn = conflicts*w < (w-1)*len(batch)
+		for i, nr := range sp {
+			if nr != nil {
+				written.clearSegments(nr.Segments)
+				sp[i] = nil
+			}
+		}
 	}
+}
+
+// speculate routes batch[i] into out[i] against the committed snapshot.
+// Worker wi takes nets wi, wi+w, wi+2w, …: the window is in descending-HPWL
+// order, so striding spreads its long nets across the workers, and the
+// assignment stays a fixed function of the window. The calling goroutine is
+// worker 0. res.Usage is not written meanwhile.
+func speculate(workers []*router, batch []int32, out []*NetRoute) {
+	var wg sync.WaitGroup
+	for wi := 1; wi < len(workers) && wi < len(batch); wi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workers[wi].speculateStride(batch, out, wi, len(workers))
+		}()
+	}
+	workers[0].speculateStride(batch, out, 0, len(workers))
+	wg.Wait()
+}
+
+// speculateStride routes nets from, from+step, … of the window, each
+// against the snapshot plus its own writes: the overlay is reset before
+// every net, so no net sees another's speculative usage.
+func (r *router) speculateStride(batch []int32, out []*NetRoute, from, step int) {
+	n := 0
+	for i := from; i < len(batch); i += step {
+		r.spec.reset()
+		out[i] = r.buildGeoNet(int(batch[i]))
+		n++
+	}
+	speculated.Add(int64(n))
 }

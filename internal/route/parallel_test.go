@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
 )
 
@@ -182,4 +183,119 @@ func TestParallelRouteConcurrentCallers(t *testing.T) {
 		_ = c
 		sameResults(t, "concurrent", res, want)
 	}
+}
+
+// TestWaveSpeculatesEachNetAtMostOnce bounds the speculation work: across
+// the main batch and the rip-up victim batch, no net is routed
+// speculatively more than once. The pressure fixture rips up more than
+// parallelMinNets nets, so the victim batch runs through the waves too.
+func TestWaveSpeculatesEachNetAtMostOnce(t *testing.T) {
+	withWorkers(t, 2)
+	l := placedMesh(t, 10, 30, 0.75)
+	for i := range l.NDR.Scale {
+		l.NDR.Scale[i] = 1.5
+	}
+	geo := BuildGeometry(l)
+	specs := func(opt Options) (int64, *Result) {
+		before := speculated.Load()
+		res, err := RouteWithGeometry(l, opt, geo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return speculated.Load() - before, res
+	}
+	mainOnly, _ := specs(Options{Seed: 4, DisableRipup: true})
+	withRipup, res := specs(Options{Seed: 4})
+	if ResolvedWorkers(res.Victims) < 2 {
+		t.Fatalf("fixture rips up only %d nets: the victim batch stays sequential", res.Victims)
+	}
+	if mainOnly <= 0 || mainOnly > int64(len(geo.Order)) {
+		t.Errorf("main batch: %d speculative routes for %d nets", mainOnly, len(geo.Order))
+	}
+	// Routing is deterministic, so the main batch speculates the same nets
+	// in both runs; the difference is the victim batch's share.
+	if victims := withRipup - mainOnly; victims <= 0 || victims > int64(res.Victims) {
+		t.Errorf("victim batch: %d speculative routes for %d victims", victims, res.Victims)
+	}
+}
+
+// TestWaveOverlayIsPerNet pins the per-net speculation overlay. In one
+// window, net A (worker 0) commits first and makes net B (worker 1) choose
+// another route than it speculated, so B is routed again inline. Net C
+// (worker 1, after B) reads cells that only B's discarded speculation
+// wrote, and its read rectangle misses everything committed before it, so
+// its speculation is accepted. If C's worker kept B's speculative writes
+// in its overlay, C would have priced them and taken another layer than the
+// sequential router does.
+func TestWaveOverlayIsPerNet(t *testing.T) {
+	l := placedLocalMesh(t, 8, 60, 40, 160) // supplies the library, NDR and nets
+	g := buildGrid(l, Options{}.withDefaults())
+	var ids []int32
+	for _, n := range l.Netlist.Nets {
+		if !n.IsClock && len(ids) < 4 {
+			ids = append(ids, int32(n.ID))
+		}
+	}
+	at := func(c, r int) geom.Point { return g.Center(c, r) }
+	conn := func(c0, r0, c1, r1 int) []Conn { return []Conn{{A: at(c0, r0), B: at(c1, r1)}} }
+	geo := &Geometry{
+		NetIDs: ids,
+		Order:  []int32{0, 1, 2, 3},
+		// A, B, a net without connections (keeps C on B's worker), C.
+		Conns: [][]Conn{conn(1, 0, 2, 0), conn(0, 0, 3, 3), nil, conn(3, 1, 3, 2)},
+	}
+	geo.BBox = make([]geom.Rect, len(ids))
+	for i, cs := range geo.Conns {
+		for _, c := range cs {
+			geo.BBox[i] = geom.Rect{Lo: c.A, Hi: c.B}
+		}
+	}
+	probe := &router{l: l}
+	pair := probe.layerPairs(at(0, 0).ManhattanDist(at(3, 3)), false)[0]
+	if a := probe.layerPairs(at(1, 0).ManhattanDist(at(2, 0)), false)[0]; a != pair {
+		t.Fatalf("A prefers layers %v, B %v", a, pair)
+	}
+	hl, vl := pair[0]-1, pair[1]-1
+
+	// Ample capacity everywhere except two cells: after A's wire, B's
+	// first L (along row 0) pays a congestion penalty at (2, 0), so B takes
+	// the other L; and one more wire than C's own at (3, 1) — where only B's
+	// speculative L would put it — overflows C's preferred vertical layer.
+	fresh := func() *Result {
+		res := &Result{Grid: g, NetRoutes: make([]*NetRoute, len(l.Netlist.Nets))}
+		for li := 0; li < l.Lib().NumLayers(); li++ {
+			capacity := make([]float64, g.Cols*g.Rows)
+			for i := range capacity {
+				capacity[i] = 100
+			}
+			res.Usage = append(res.Usage, make([]float64, g.Cols*g.Rows))
+			res.Cap = append(res.Cap, capacity)
+		}
+		res.Cap[hl][g.Index(2, 0)] = 2
+		res.Cap[vl][g.Index(3, 1)] = 1.5
+		return res
+	}
+	routeSeq := func(order ...int32) *Result {
+		r := &router{l: l, res: fresh(), geo: geo}
+		for _, oi := range order {
+			r.routeGeoNet(int(oi))
+		}
+		return r.res
+	}
+	want := routeSeq(0, 1, 2, 3)
+
+	// The fixture must put the overlay to work: B's route against the
+	// snapshot differs from its committed one, and C decides differently
+	// once B's speculative route is in the usage it reads.
+	bAlone := routeSeq(1).NetRoutes[ids[1]]
+	if sameSegments(bAlone.Segments, want.NetRoutes[ids[1]].Segments) {
+		t.Fatal("fixture: A does not change B's route")
+	}
+	if cAfterB := routeSeq(1, 3).NetRoutes[ids[3]]; sameSegments(cAfterB.Segments, want.NetRoutes[ids[3]].Segments) {
+		t.Fatal("fixture: B's speculative route does not change C's route")
+	}
+
+	r := &router{l: l, res: fresh(), geo: geo}
+	r.routeWaves(geo.Order, 2)
+	sameResults(t, "overlay", r.res, want)
 }

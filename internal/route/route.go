@@ -311,10 +311,22 @@ func (r *router) buildGeoNet(oi int) *NetRoute {
 	}
 	net := r.l.Netlist.Nets[r.geo.NetIDs[oi]]
 	nr := &NetRoute{Net: net, LenByMetal: make([]int64, r.l.Lib().NumLayers()+1)}
-	for _, c := range conns {
-		r.routeTwoPin(nr, c.A, c.B, net.IsClock)
-	}
+	r.routeConns(nr, conns)
 	return nr
+}
+
+// rerouteGeoNet routes the net again into nr, a discarded route of the
+// same net, reusing its storage.
+func (r *router) rerouteGeoNet(nr *NetRoute, oi int) {
+	nr.Segments = nr.Segments[:0]
+	clear(nr.LenByMetal)
+	r.routeConns(nr, r.geo.Conns[oi])
+}
+
+func (r *router) routeConns(nr *NetRoute, conns []Conn) {
+	for _, c := range conns {
+		r.routeTwoPin(nr, c.A, c.B, nr.Net.IsClock)
+	}
 }
 
 // layerPairs returns the candidate (hLayer, vLayer) metal pairs for a
@@ -522,6 +534,17 @@ func (r *router) commit(nr *NetRoute, a, b geom.Point, metal int) {
 	}
 	nr.Segments = append(nr.Segments, Segment{Metal: metal, A: a, B: b})
 	nr.LenByMetal[metal] += a.ManhattanDist(b)
+}
+
+// book commits the usage of already-decided segments exactly as commit
+// would: the same per-cell additions, in the same order.
+func (r *router) book(segs []Segment) {
+	for _, s := range segs {
+		scale := r.l.NDR.LayerScale(s.Metal)
+		r.walk(s.A, s.B, func(idx int) {
+			r.res.Usage[s.Metal-1][idx] += scale
+		})
+	}
 }
 
 // uncommit releases the usage of a routed net (for rip-up).

@@ -286,12 +286,7 @@ func (r *router) replay(id int, dnr *NetRoute) {
 		Segments:   dnr.Segments,
 		LenByMetal: append([]int64(nil), dnr.LenByMetal...),
 	}
-	for _, s := range nr.Segments {
-		scale := r.l.NDR.LayerScale(s.Metal)
-		r.walk(s.A, s.B, func(idx int) {
-			r.res.Usage[s.Metal-1][idx] += scale
-		})
-	}
+	r.book(nr.Segments)
 	r.res.NetRoutes[id] = nr
 }
 
@@ -323,7 +318,13 @@ func newDeltaMask(g Grid) *deltaMask {
 
 // addSegments marks the GCells of every straight run — exactly the cells
 // walk visits when committing or uncommitting these segments.
-func (d *deltaMask) addSegments(segs []Segment) {
+func (d *deltaMask) addSegments(segs []Segment) { d.setSegments(segs, true) }
+
+// clearSegments unmarks the GCells of every straight run, so a mask that
+// only ever held these segments is empty again in O(cells touched).
+func (d *deltaMask) clearSegments(segs []Segment) { d.setSegments(segs, false) }
+
+func (d *deltaMask) setSegments(segs []Segment, v bool) {
 	for _, s := range segs {
 		c0, r0 := d.g.AtDBU(s.A)
 		c1, r1 := d.g.AtDBU(s.B)
@@ -336,7 +337,7 @@ func (d *deltaMask) addSegments(segs []Segment) {
 		for r := r0; r <= r1; r++ {
 			row := d.m[r*d.g.Cols : (r+1)*d.g.Cols]
 			for c := c0; c <= c1; c++ {
-				row[c] = true
+				row[c] = v
 			}
 		}
 	}

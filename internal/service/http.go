@@ -163,7 +163,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
 		return
 	}
-	job, err := m.Submit(req.toSpec())
+	_, accepted, err := m.submit(req.toSpec())
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// A full queue is the client's pace problem (429): this instance
@@ -181,7 +181,7 @@ func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobJSON(job.Snapshot()))
+	writeJSON(w, http.StatusAccepted, jobJSON(accepted))
 }
 
 func lookupJob(m *Manager, w http.ResponseWriter, r *http.Request) (*Job, bool) {

@@ -162,28 +162,37 @@ func New(cfg Config) *Manager {
 // fails fast with ErrQueueFull when the queue is at capacity and with
 // ErrShuttingDown after Shutdown has begun.
 func (m *Manager) Submit(spec Spec) (*Job, error) {
+	job, _, err := m.submit(spec)
+	return job, err
+}
+
+// submit is Submit, also returning the job's snapshot as accepted: taken
+// before the job is queued, so a worker picking it up at once cannot move
+// it past StateQueued first.
+func (m *Manager) submit(spec Spec) (*Job, Snapshot, error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, Snapshot{}, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, ErrShuttingDown
+		return nil, Snapshot{}, ErrShuttingDown
 	}
 	m.seq++
 	job := newJob(fmt.Sprintf("job-%d", m.seq), spec, time.Now())
 	if m.store != nil {
 		if err := m.persistSubmit(job); err != nil {
-			return nil, err
+			return nil, Snapshot{}, err
 		}
 	}
+	accepted := job.Snapshot()
 	select {
 	case m.queue <- job:
 		m.jobs[job.ID] = job
 		jobsSubmitted.With(string(spec.Kind)).Inc()
 		obs.Logger().Info("service: job submitted",
 			"job", job.ID, "kind", spec.Kind, "queue_depth", len(m.queue))
-		return job, nil
+		return job, accepted, nil
 	default:
 		if job.wal != nil {
 			// The spec record is durable but the job was never accepted:
@@ -191,7 +200,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 			// client was told to resubmit.
 			_ = m.store.Remove(job.ID)
 		}
-		return nil, ErrQueueFull
+		return nil, Snapshot{}, ErrQueueFull
 	}
 }
 
