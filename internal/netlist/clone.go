@@ -3,47 +3,67 @@ package netlist
 // Clone returns a deep copy of the netlist: new Instance/Net/Port objects
 // with identical names, masters, connectivity, and flags. Master cells are
 // shared (the library is read-only).
+//
+// Terminals and pin connections rebind by ID: an instance's or net's ID is
+// its index (AddInstance, AddNet and RemoveFillers keep it so). Instances,
+// nets, sinks and pin connections are each allocated in one slab; every
+// net's Sinks and every instance's Conns is a full slice expression over
+// its slab (cap = len), so a later append on the clone reallocates instead
+// of overwriting a neighbour.
 func (nl *Netlist) Clone() *Netlist {
-	out := New(nl.Name, nl.Lib)
-
+	out := &Netlist{
+		Name:       nl.Name,
+		Lib:        nl.Lib,
+		Insts:      make([]*Instance, len(nl.Insts)),
+		Nets:       make([]*Net, len(nl.Nets)),
+		Ports:      make([]*Port, 0, len(nl.Ports)),
+		instByName: make(map[string]*Instance, len(nl.Insts)),
+		netByName:  make(map[string]*Net, len(nl.Nets)),
+		portByName: make(map[string]*Port, len(nl.Ports)),
+	}
 	for _, p := range nl.Ports {
 		np := &Port{Name: p.Name, Dir: p.Dir}
 		out.Ports = append(out.Ports, np)
 		out.portByName[np.Name] = np
 	}
-	for _, n := range nl.Nets {
-		nn := &Net{ID: n.ID, Name: n.Name, IsClock: n.IsClock}
-		out.Nets = append(out.Nets, nn)
+	nets := make([]Net, len(nl.Nets))
+	numSinks := 0
+	for i, n := range nl.Nets {
+		nn := &nets[i]
+		nn.ID, nn.Name, nn.IsClock = n.ID, n.Name, n.IsClock
+		out.Nets[i] = nn
 		out.netByName[nn.Name] = nn
+		numSinks += len(n.Sinks)
 	}
-	for _, in := range nl.Insts {
-		ni := &Instance{
-			ID:               in.ID,
-			Name:             in.Name,
-			Master:           in.Master,
-			SecurityCritical: in.SecurityCritical,
-			Fixed:            in.Fixed,
-		}
-		out.Insts = append(out.Insts, ni)
+	insts := make([]Instance, len(nl.Insts))
+	numConns := 0
+	for i, in := range nl.Insts {
+		ni := &insts[i]
+		ni.ID, ni.Name, ni.Master = in.ID, in.Name, in.Master
+		ni.SecurityCritical, ni.Fixed = in.SecurityCritical, in.Fixed
+		out.Insts[i] = ni
 		out.instByName[ni.Name] = ni
+		numConns += len(in.Conns)
 	}
 	// Rebuild terminals with the cloned objects.
+	sinks := make([]Terminal, numSinks)
 	for i, n := range nl.Nets {
 		nn := out.Nets[i]
 		nn.hasDriver = n.hasDriver
 		if n.hasDriver {
 			nn.Driver = out.cloneTerm(n.Driver)
 		}
-		nn.Sinks = make([]Terminal, len(n.Sinks))
+		nn.Sinks, sinks = sinks[:len(n.Sinks):len(n.Sinks)], sinks[len(n.Sinks):]
 		for j, s := range n.Sinks {
 			nn.Sinks[j] = out.cloneTerm(s)
 		}
 	}
+	conns := make([]PinConn, numConns)
 	for i, in := range nl.Insts {
 		ni := out.Insts[i]
-		ni.Conns = make([]PinConn, len(in.Conns))
+		ni.Conns, conns = conns[:len(in.Conns):len(in.Conns)], conns[len(in.Conns):]
 		for j, c := range in.Conns {
-			ni.Conns[j] = PinConn{Pin: c.Pin, Net: out.netByName[c.Net.Name]}
+			ni.Conns[j] = PinConn{Pin: c.Pin, Net: out.Nets[c.Net.ID]}
 		}
 	}
 	return out
@@ -53,5 +73,5 @@ func (nl *Netlist) cloneTerm(t Terminal) Terminal {
 	if t.IsPort() {
 		return Terminal{Port: nl.portByName[t.Port.Name], Pin: t.Pin}
 	}
-	return Terminal{Inst: nl.instByName[t.Inst.Name], Pin: t.Pin}
+	return Terminal{Inst: nl.Insts[t.Inst.ID], Pin: t.Pin}
 }

@@ -1,6 +1,8 @@
 package route
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"gdsiiguard/internal/geom"
@@ -54,12 +56,13 @@ func BuildGeometry(l *layout.Layout) *Geometry {
 	g.Conns = make([][]Conn, len(g.NetIDs))
 	g.BBox = make([]geom.Rect, len(g.NetIDs))
 	g.Order = make([]int32, len(g.NetIDs))
+	// One pass per net: the terminal points give the bounding box, and the
+	// bounding box gives the HPWL (zero below two located terminals, as in
+	// Layout.NetHPWL).
 	hpwl := make([]int64, len(g.NetIDs))
 	for i, id := range g.NetIDs {
-		n := nl.Nets[id]
 		g.Order[i] = int32(i)
-		hpwl[i] = l.NetHPWL(n)
-		pts := l.NetTermPoints(n)
+		pts := l.NetTermPoints(nl.Nets[id])
 		if len(pts) < 2 {
 			continue
 		}
@@ -78,11 +81,17 @@ func BuildGeometry(l *layout.Layout) *Geometry {
 				bb.Hi.Y = p.Y
 			}
 		}
+		hpwl[i] = bb.W() + bb.H()
 		g.BBox[i] = bb
 		g.Conns[i] = decompose(pts)
 	}
-	sort.SliceStable(g.Order, func(a, b int) bool {
-		return hpwl[g.Order[a]] > hpwl[g.Order[b]]
+	// Descending HPWL, ties in netlist order: the key (−HPWL, index) is
+	// unique, so an unstable sort yields the stable order.
+	slices.SortFunc(g.Order, func(a, b int32) int {
+		if c := cmp.Compare(hpwl[b], hpwl[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	return g
 }

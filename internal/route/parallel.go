@@ -155,14 +155,6 @@ func (o *usageOverlay) reset() {
 	}
 }
 
-func (o *usageOverlay) get(li, idx int) (float64, bool) {
-	k := li*o.cells + idx
-	if o.mark[k] == o.gen {
-		return o.val[k], true
-	}
-	return 0, false
-}
-
 // add books scale at (li, idx), seeding the effective value from base (the
 // committed snapshot) on first touch.
 func (o *usageOverlay) add(li, idx int, base, scale float64) {
@@ -181,7 +173,7 @@ func (r *router) routeWaves(order []int32, w int) {
 	layers, cells := len(r.res.Usage), r.res.Grid.Cols*r.res.Grid.Rows
 	workers := make([]*router, w)
 	for i := range workers {
-		workers[i] = &router{l: r.l, res: r.res, geo: r.geo, seed: r.seed, spec: newUsageOverlay(layers, cells)}
+		workers[i] = &router{l: r.l, res: r.res, geo: r.geo, seed: r.seed, ladders: r.ladders, spec: newUsageOverlay(layers, cells)}
 	}
 	window := w * minNetsPerWorker
 	specs := make([]*NetRoute, window)

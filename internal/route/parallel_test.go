@@ -250,7 +250,7 @@ func TestWaveOverlayIsPerNet(t *testing.T) {
 			geo.BBox[i] = geom.Rect{Lo: c.A, Hi: c.B}
 		}
 	}
-	probe := &router{l: l}
+	probe := newRouter(l, nil, nil, 0)
 	pair := probe.layerPairs(at(0, 0).ManhattanDist(at(3, 3)), false)[0]
 	if a := probe.layerPairs(at(1, 0).ManhattanDist(at(2, 0)), false)[0]; a != pair {
 		t.Fatalf("A prefers layers %v, B %v", a, pair)
@@ -276,7 +276,7 @@ func TestWaveOverlayIsPerNet(t *testing.T) {
 		return res
 	}
 	routeSeq := func(order ...int32) *Result {
-		r := &router{l: l, res: fresh(), geo: geo}
+		r := newRouter(l, fresh(), geo, 0)
 		for _, oi := range order {
 			r.routeGeoNet(int(oi))
 		}
@@ -295,7 +295,7 @@ func TestWaveOverlayIsPerNet(t *testing.T) {
 		t.Fatal("fixture: B's speculative route does not change C's route")
 	}
 
-	r := &router{l: l, res: fresh(), geo: geo}
+	r := newRouter(l, fresh(), geo, 0)
 	r.routeWaves(geo.Order, 2)
 	sameResults(t, "overlay", r.res, want)
 }

@@ -85,9 +85,32 @@ func (g Grid) Clamp(c, r int) (int, int) {
 
 // AtDBU returns the GCell containing the DBU point (clamped to the grid).
 func (g Grid) AtDBU(p geom.Point) (int, int) {
-	c := int((p.X - g.Origin.X) / g.CellW)
-	r := int((p.Y - g.Origin.Y) / g.CellH)
-	return g.Clamp(c, r)
+	return g.col(p.X), g.row(p.Y)
+}
+
+// col is the GCell column containing DBU abscissa x, clamped to the grid;
+// AtDBU is separable, so a point's column depends on its X alone.
+func (g Grid) col(x int64) int {
+	c := int((x - g.Origin.X) / g.CellW)
+	if c < 0 {
+		c = 0
+	}
+	if c >= g.Cols {
+		c = g.Cols - 1
+	}
+	return c
+}
+
+// row is the GCell row containing DBU ordinate y, clamped to the grid.
+func (g Grid) row(y int64) int {
+	r := int((y - g.Origin.Y) / g.CellH)
+	if r < 0 {
+		r = 0
+	}
+	if r >= g.Rows {
+		r = g.Rows - 1
+	}
+	return r
 }
 
 // Center returns the DBU center of GCell (c, r).
@@ -201,7 +224,7 @@ func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry) (*Result, e
 	}
 	fillCapacity(l, res)
 
-	r := &router{l: l, res: res, geo: geo, seed: opt.Seed}
+	r := newRouter(l, res, geo, opt.Seed)
 	r.routeAll(geo.Order)
 	for p := 0; p < opt.RipupPasses; p++ {
 		r.ripupAndReroute()
@@ -276,6 +299,13 @@ type router struct {
 	// changes — route.Warm's Δ mask, extended through the rip-up passes so
 	// the caller can tell which nets' surroundings moved.
 	track *deltaMask
+	// ladders[s] is the layer-pair ladder rotated to start at pair s (see
+	// buildLadders); it depends only on the library.
+	ladders [][][2]int
+}
+
+func newRouter(l *layout.Layout, res *Result, geo *Geometry, seed int64) *router {
+	return &router{l: l, res: res, geo: geo, seed: seed, ladders: buildLadders(l.Lib())}
 }
 
 // routeAll routes the given geometry nets — a subsequence of geo.Order, in
@@ -329,20 +359,43 @@ func (r *router) routeConns(nr *NetRoute, conns []Conn) {
 	}
 }
 
-// layerPairs returns the candidate (hLayer, vLayer) metal pairs for a
-// connection of the given DBU length: the pair preferred by length class
-// plus the pairs above it, so congested low metal spills upward. Clock nets
-// start on the mid stack.
-func (r *router) layerPairs(lenDBU int64, clock bool) [][2]int {
-	k := r.l.Lib().NumLayers()
+// buildLadders returns the candidate (hLayer, vLayer) metal pairs of the
+// library, once per preferred pair: ladders[s] is the full ladder rotated
+// so pair s comes first, followed by the pairs alternately above and below
+// it. The router taxes candidates by their distance from the preferred
+// pair, so congested preferred layers spill in both directions.
+func buildLadders(lib *tech.Library) [][][2]int {
+	k := lib.NumLayers()
 	ladder := make([][2]int, 0, k/2)
 	for h := 1; h+1 <= k; h += 2 {
 		hh, vv := h, h+1
-		if r.l.Lib().Layer(hh).Dir != tech.Horizontal {
+		if lib.Layer(hh).Dir != tech.Horizontal {
 			hh, vv = vv, hh
 		}
 		ladder = append(ladder, [2]int{hh, vv})
 	}
+	ladders := make([][][2]int, len(ladder))
+	for start := range ladder {
+		out := make([][2]int, 0, len(ladder))
+		out = append(out, ladder[start])
+		for d := 1; d < len(ladder); d++ {
+			if start+d < len(ladder) {
+				out = append(out, ladder[start+d])
+			}
+			if start-d >= 0 {
+				out = append(out, ladder[start-d])
+			}
+		}
+		ladders[start] = out
+	}
+	return ladders
+}
+
+// layerPairs returns the candidate (hLayer, vLayer) metal pairs for a
+// connection of the given DBU length: the pair preferred by length class
+// first, then the rest of the ladder, so congested low metal spills
+// upward. Clock nets start on the mid stack.
+func (r *router) layerPairs(lenDBU int64, clock bool) [][2]int {
 	start := 0
 	switch {
 	case clock:
@@ -356,23 +409,31 @@ func (r *router) layerPairs(lenDBU int64, clock bool) [][2]int {
 	default:
 		start = 3
 	}
-	if start >= len(ladder) {
-		start = len(ladder) - 1
+	if start >= len(r.ladders) {
+		start = len(r.ladders) - 1
 	}
-	// Return the full ladder rotated so the preferred pair is first; the
-	// router taxes candidates by their distance from the preferred pair, so
-	// congested preferred layers spill in both directions.
-	out := make([][2]int, 0, len(ladder))
-	out = append(out, ladder[start])
-	for d := 1; d < len(ladder); d++ {
-		if start+d < len(ladder) {
-			out = append(out, ladder[start+d])
-		}
-		if start-d >= 0 {
-			out = append(out, ladder[start-d])
-		}
+	return r.ladders[start]
+}
+
+// maxCands bounds the candidate patterns of one connection: two Ls, two
+// Zs and, for degenerate connections, two U-detours.
+const maxCands = 6
+
+// candLen is the number of waypoints of candidate ci: 3 for the Ls, 4 for
+// the Zs and U-detours.
+func candLen(ci int) int {
+	if ci < 2 {
+		return 3
 	}
-	return out
+	return 4
+}
+
+// choice is the pattern routeTwoPin commits: the waypoints path[:n] on the
+// layer pair.
+type choice struct {
+	path [4]geom.Point
+	n    int
+	pair [2]int
 }
 
 // routeTwoPin routes an L- or Z-shaped connection between two DBU points,
@@ -384,28 +445,82 @@ func (r *router) layerPairs(lenDBU int64, clock bool) [][2]int {
 // between the same track pair piles onto one GCell column no matter how
 // congested it gets.
 func (r *router) routeTwoPin(nr *NetRoute, a, b geom.Point, clock bool) {
+	c := r.choose(a, b, clock)
+	for j := 1; j < c.n; j++ {
+		r.commit(nr, c.path[j-1], c.path[j], c.pair[runSide(c.path[j-1], c.path[j])])
+	}
+}
+
+// choose prices every candidate pattern on every layer pair and returns
+// the cheapest, first-best on ties; it allocates nothing.
+//
+// A candidate's cost is its pair's tax, plus 1 for a Z shape, plus the
+// cost of each of its runs (spanCost) summed from zero and then added in
+// run order. The search is an exact branch-and-bound over that sum. Every
+// term a run adds is non-negative and at least 1 per GCell, and
+// floating-point addition is monotone, so a candidate's cost can never
+// fall below its floor — the tax, the Z via and its GCell count, all small
+// integers and so exact — nor below any running partial sum. A candidate
+// whose floor, or whose running cost while it is priced, reaches the best
+// cost so far could only end at or above the best, and the strict < would
+// never select it: it is skipped, and so is a pair whose tax alone reaches
+// the best. The candidates that do complete are summed in exactly the same
+// order as under full pricing, so the choice is bit-identical to pricing
+// every candidate in full.
+func (r *router) choose(a, b geom.Point, clock bool) choice {
 	pairs := r.layerPairs(a.ManhattanDist(b), clock)
 	mid := geom.Pt((a.X+b.X)/2, (a.Y+b.Y)/2)
+	g := r.res.Grid
 	// Candidate patterns as waypoint sequences: two Ls and two Zs.
-	candidates := [][]geom.Point{
+	cands := [maxCands][4]geom.Point{
 		{a, geom.Pt(b.X, a.Y), b},                        // L via (bx, ay)
 		{a, geom.Pt(a.X, b.Y), b},                        // L via (ax, by)
 		{a, geom.Pt(mid.X, a.Y), geom.Pt(mid.X, b.Y), b}, // HVH Z
 		{a, geom.Pt(a.X, mid.Y), geom.Pt(b.X, mid.Y), b}, // VHV Z
 	}
-	g := r.res.Grid
+	// The same waypoints as GCells. Every waypoint coordinate is one of a
+	// few abscissae and ordinates, each mapped to its column or row once.
+	ca, cb, cm := g.col(a.X), g.col(b.X), g.col(mid.X)
+	ra, rb, rm := g.row(a.Y), g.row(b.Y), g.row(mid.Y)
+	cells := [maxCands][4]gcell{
+		{{ca, ra}, {cb, ra}, {cb, rb}},
+		{{ca, ra}, {ca, rb}, {cb, rb}},
+		{{ca, ra}, {cm, ra}, {cm, rb}, {cb, rb}},
+		{{ca, ra}, {ca, rm}, {cb, rm}, {cb, rb}},
+	}
+	nc := 4
 	if a.X == b.X && absInt64(a.Y-b.Y) > g.CellH {
 		for _, x := range [2]int64{a.X - g.CellW, a.X + g.CellW} {
-			candidates = append(candidates, []geom.Point{a, geom.Pt(x, a.Y), geom.Pt(x, b.Y), b})
+			cx := g.col(x)
+			cands[nc] = [4]geom.Point{a, geom.Pt(x, a.Y), geom.Pt(x, b.Y), b}
+			cells[nc] = [4]gcell{{ca, ra}, {cx, ra}, {cx, rb}, {cb, rb}}
+			nc++
 		}
 	} else if a.Y == b.Y && absInt64(a.X-b.X) > g.CellW {
 		for _, y := range [2]int64{a.Y - g.CellH, a.Y + g.CellH} {
-			candidates = append(candidates, []geom.Point{a, geom.Pt(a.X, y), geom.Pt(b.X, y), b})
+			ry := g.row(y)
+			cands[nc] = [4]geom.Point{a, geom.Pt(a.X, y), geom.Pt(b.X, y), b}
+			cells[nc] = [4]gcell{{ca, ra}, {ca, ry}, {cb, ry}, {cb, rb}}
+			nc++
 		}
 	}
+	// A run's GCells depend on its waypoints only; the pair picks its layer.
+	var spans [maxCands][3]span
+	var sides [maxCands][3]int
+	var floor [maxCands]float64 // cost floor: 1 per GCell, plus 1 for a Z
+	for ci := 0; ci < nc; ci++ {
+		p, q := &cands[ci], &cells[ci]
+		if ci >= 2 {
+			floor[ci] = 1
+		}
+		for j := 1; j < candLen(ci); j++ {
+			spans[ci][j-1] = g.cellSpan(q[j-1], q[j])
+			sides[ci][j-1] = runSide(p[j-1], p[j])
+			floor[ci] += float64(spans[ci][j-1].n)
+		}
+	}
+	var best choice
 	bestCost := math.Inf(1)
-	var bestPath []geom.Point
-	var bestPair [2]int
 	for i, p := range pairs {
 		// Non-preferred pairs pay a via/ascent tax so they are used only
 		// under congestion; the sparse top pair (metal9/10, in real stacks
@@ -414,24 +529,34 @@ func (r *router) routeTwoPin(nr *NetRoute, a, b geom.Point, clock bool) {
 		if p[0] >= 9 || p[1] >= 9 {
 			tax += 10
 		}
-		for ci, path := range candidates {
+		if tax >= bestCost {
+			continue
+		}
+		for ci := 0; ci < nc; ci++ {
+			if tax+floor[ci] >= bestCost {
+				continue
+			}
 			cost := tax
 			if ci >= 2 {
 				cost += 1 // extra via pair for Z shapes
 			}
-			for j := 1; j < len(path); j++ {
-				cost += r.pathCost(path[j-1], path[j], r.segLayer(path[j-1], path[j], p))
+			priced := true
+			for j := 0; j < candLen(ci)-1; j++ {
+				metal := p[sides[ci][j]]
+				run, under := r.spanCost(spans[ci][j], metal-1, r.l.NDR.LayerScale(metal), cost, bestCost)
+				if !under {
+					priced = false
+					break
+				}
+				cost += run
 			}
-			if cost < bestCost {
+			if priced && cost < bestCost {
 				bestCost = cost
-				bestPath = path
-				bestPair = p
+				best = choice{path: cands[ci], n: candLen(ci), pair: p}
 			}
 		}
 	}
-	for j := 1; j < len(bestPath); j++ {
-		r.commit(nr, bestPath[j-1], bestPath[j], r.segLayer(bestPath[j-1], bestPath[j], bestPair))
-	}
+	return best
 }
 
 func absInt64(x int64) int64 {
@@ -441,28 +566,75 @@ func absInt64(x int64) int64 {
 	return x
 }
 
-// segLayer picks the metal of an axis-aligned segment from the layer pair:
-// horizontal runs take the pair's horizontal layer, vertical runs the
-// vertical one (zero-length runs default to horizontal).
-func (r *router) segLayer(a, b geom.Point, pair [2]int) int {
+// runSide picks the layer of an axis-aligned run from a layer pair:
+// vertical runs take the pair's vertical layer (side 1), everything else
+// its horizontal one (side 0; zero-length runs default to horizontal).
+func runSide(a, b geom.Point) int {
 	if a.X == b.X && a.Y != b.Y {
-		return pair[1]
+		return 1
 	}
-	return pair[0]
+	return 0
 }
 
-// pathCost estimates congestion cost of an axis-aligned run on a metal
-// layer: 1 per GCell plus a quadratic penalty above 80% usage. Congestion
-// is priced at the usage the GCell would have AFTER this wire commits
-// (current usage plus this net's track demand) — pricing the pre-existing
-// usage instead lets the wire that pushes a GCell from just-under to
-// just-over capacity through almost free, which is exactly the wire the
-// penalty exists to deter.
-func (r *router) pathCost(a, b geom.Point, metal int) float64 {
-	cost := 0.0
-	demand := r.l.NDR.LayerScale(metal)
-	r.walk(a, b, func(idx int) {
-		u, c := r.usageAt(metal-1, idx)+demand, r.res.Cap[metal-1][idx]
+// span is the strided range of linear GCell indices an axis-aligned run
+// crosses, in ascending order: start, start+stride, … below end — n cells.
+type span struct {
+	start, end, stride, n int
+}
+
+// gcell is a GCell's (column, row).
+type gcell struct{ c, r int }
+
+// span returns the GCells crossed by the axis-aligned run a→b.
+func (g Grid) span(a, b geom.Point) span {
+	return g.cellSpan(gcell{g.col(a.X), g.row(a.Y)}, gcell{g.col(b.X), g.row(b.Y)})
+}
+
+// cellSpan returns the GCells of the run between GCells p and q: a row run
+// when both share a row, otherwise a column run in p's column.
+func (g Grid) cellSpan(p, q gcell) span {
+	if p.r == q.r {
+		c0, c1 := p.c, q.c
+		if c1 < c0 {
+			c0, c1 = c1, c0
+		}
+		return span{start: g.Index(c0, p.r), end: g.Index(c1, p.r) + 1, stride: 1, n: c1 - c0 + 1}
+	}
+	r0, r1 := p.r, q.r
+	if r1 < r0 {
+		r0, r1 = r1, r0
+	}
+	return span{start: g.Index(p.c, r0), end: g.Index(p.c, r1) + g.Cols, stride: g.Cols, n: r1 - r0 + 1}
+}
+
+// spanCost prices a run over the span on 0-based layer li for a wire of
+// the given track demand: 1 per GCell plus a quadratic penalty above 80%
+// usage and a steep one on overflow. Congestion is priced at the usage the
+// GCell would have AFTER this wire commits (current usage plus the wire's
+// demand) — pricing the pre-existing usage instead lets the wire that
+// pushes a GCell from just-under to just-over capacity through almost
+// free, which is exactly the wire the penalty exists to deter. A
+// speculative router reads usage through its overlay.
+//
+// The run's cost is summed from zero in GCell order. Pricing stops, with
+// under false, as soon as base plus the partial cost reaches limit; every
+// term is non-negative, so the complete cost would reach it too.
+func (r *router) spanCost(s span, li int, demand, base, limit float64) (cost float64, under bool) {
+	usage, capa := r.res.Usage[li], r.res.Cap[li]
+	var val []float64
+	var mark []uint32
+	var gen uint32
+	if o := r.spec; o != nil {
+		off := li * o.cells
+		val, mark, gen = o.val[off:off+o.cells], o.mark[off:off+o.cells], o.gen
+	}
+	for idx := s.start; idx < s.end; idx += s.stride {
+		u := usage[idx]
+		if mark != nil && mark[idx] == gen {
+			u = val[idx]
+		}
+		u += demand
+		c := capa[idx]
 		cost++
 		if c > 0 {
 			util := u / c
@@ -475,41 +647,11 @@ func (r *router) pathCost(a, b geom.Point, metal int) float64 {
 				cost += 50 * (u - c + 1)
 			}
 		}
-	})
-	return cost
-}
-
-// walk visits the linear GCell indices crossed by the axis-aligned run a→b.
-func (r *router) walk(a, b geom.Point, f func(idx int)) {
-	g := r.res.Grid
-	c0, r0 := g.AtDBU(a)
-	c1, r1 := g.AtDBU(b)
-	if r0 == r1 {
-		if c1 < c0 {
-			c0, c1 = c1, c0
-		}
-		for c := c0; c <= c1; c++ {
-			f(g.Index(c, r0))
-		}
-		return
-	}
-	if r1 < r0 {
-		r0, r1 = r1, r0
-	}
-	for rr := r0; rr <= r1; rr++ {
-		f(g.Index(c0, rr))
-	}
-}
-
-// usageAt reads track usage as the router sees it: committed usage, or the
-// speculative overlay's effective value when this router is a wave worker.
-func (r *router) usageAt(li, idx int) float64 {
-	if r.spec != nil {
-		if v, ok := r.spec.get(li, idx); ok {
-			return v
+		if base+cost >= limit {
+			return cost, false
 		}
 	}
-	return r.res.Usage[li][idx]
+	return cost, true
 }
 
 // commit books track usage for the run and records the segment. Usage per
@@ -522,38 +664,44 @@ func (r *router) commit(nr *NetRoute, a, b geom.Point, metal int) {
 	if a == b {
 		return
 	}
+	seg := Segment{Metal: metal, A: a, B: b}
 	scale := r.l.NDR.LayerScale(metal)
 	if r.spec != nil {
-		r.walk(a, b, func(idx int) {
-			r.spec.add(metal-1, idx, r.res.Usage[metal-1][idx], scale)
-		})
+		usage := r.res.Usage[metal-1]
+		s := r.res.Grid.span(a, b)
+		for idx := s.start; idx < s.end; idx += s.stride {
+			r.spec.add(metal-1, idx, usage[idx], scale)
+		}
 	} else {
-		r.walk(a, b, func(idx int) {
-			r.res.Usage[metal-1][idx] += scale
-		})
+		r.addUsage(seg, scale)
 	}
-	nr.Segments = append(nr.Segments, Segment{Metal: metal, A: a, B: b})
+	nr.Segments = append(nr.Segments, seg)
 	nr.LenByMetal[metal] += a.ManhattanDist(b)
+}
+
+// addUsage adds delta to the committed usage of every GCell the segment
+// crosses, in span order.
+func (r *router) addUsage(s Segment, delta float64) {
+	usage := r.res.Usage[s.Metal-1]
+	sp := r.res.Grid.span(s.A, s.B)
+	for idx := sp.start; idx < sp.end; idx += sp.stride {
+		usage[idx] += delta
+	}
 }
 
 // book commits the usage of already-decided segments exactly as commit
 // would: the same per-cell additions, in the same order.
 func (r *router) book(segs []Segment) {
 	for _, s := range segs {
-		scale := r.l.NDR.LayerScale(s.Metal)
-		r.walk(s.A, s.B, func(idx int) {
-			r.res.Usage[s.Metal-1][idx] += scale
-		})
+		r.addUsage(s, r.l.NDR.LayerScale(s.Metal))
 	}
 }
 
-// uncommit releases the usage of a routed net (for rip-up).
+// uncommit releases the usage of a routed net (for rip-up). Adding the
+// negated scale is exactly IEEE subtraction of the scale.
 func (r *router) uncommit(nr *NetRoute) {
 	for _, s := range nr.Segments {
-		scale := r.l.NDR.LayerScale(s.Metal)
-		r.walk(s.A, s.B, func(idx int) {
-			r.res.Usage[s.Metal-1][idx] -= scale
-		})
+		r.addUsage(s, -r.l.NDR.LayerScale(s.Metal))
 	}
 	nr.Segments = nil
 	for i := range nr.LenByMetal {
@@ -585,11 +733,10 @@ func (r *router) ripupAndReroute() {
 		}
 		hit := false
 		for _, s := range nr.Segments {
-			r.walk(s.A, s.B, func(idx int) {
-				if over[idx] {
-					hit = true
-				}
-			})
+			sp := r.res.Grid.span(s.A, s.B)
+			for idx := sp.start; idx < sp.end && !hit; idx += sp.stride {
+				hit = over[idx]
+			}
 			if hit {
 				break
 			}

@@ -366,7 +366,7 @@ func TestLayerPairsSpillBothWays(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-	r := &router{l: l, res: res}
+	r := newRouter(l, res, nil, 0)
 	pairs := r.layerPairs(30_000, false) // mid class
 	if len(pairs) != l.Lib().NumLayers()/2 {
 		t.Fatalf("pairs = %d, want full ladder", len(pairs))

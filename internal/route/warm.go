@@ -114,7 +114,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 		res.Cap = append(res.Cap, make([]float64, n))
 	}
 	fillCapacity(l, res)
-	r := &router{l: l, res: res, geo: geo, seed: opt.Seed}
+	r := newRouter(l, res, geo, opt.Seed)
 
 	// Δ starts as the donor paths of every dirty net: wherever those
 	// committed usage in the donor run, usage here is already different —
