@@ -45,9 +45,9 @@ func workersMismatch(old, cur *Report) string {
 		return ""
 	}
 	return fmt.Sprintf(
-		"worker configuration mismatch: old cpu=%d route=%d sta=%d band=%d, new cpu=%d route=%d sta=%d band=%d",
-		old.Workers.NumCPU, old.Workers.Route, old.Workers.STA, old.Workers.Band,
-		cur.Workers.NumCPU, cur.Workers.Route, cur.Workers.STA, cur.Workers.Band)
+		"worker configuration mismatch: old cpu=%d sta=%d band=%d, new cpu=%d sta=%d band=%d",
+		old.Workers.NumCPU, old.Workers.STA, old.Workers.Band,
+		cur.Workers.NumCPU, cur.Workers.STA, cur.Workers.Band)
 }
 
 // shapeMismatch reports why the two runs' latencies are not comparable when

@@ -118,11 +118,11 @@ func TestCompareReportsWorkerMismatch(t *testing.T) {
 	old := report("PRESENT", 1.0, map[string]StageLatency{
 		"route": {Count: 28, TotalSecs: 3.0, MeanSeconds: 0.107},
 	})
-	old.Workers = &WorkersReport{NumCPU: 1, Route: 1, STA: 1, Band: 1}
+	old.Workers = &WorkersReport{NumCPU: 1, STA: 1, Band: 1}
 	cur := report("PRESENT", 10.0, map[string]StageLatency{
 		"route": {Count: 28, TotalSecs: 18.0, MeanSeconds: 0.644},
 	})
-	cur.Workers = &WorkersReport{NumCPU: 8, Route: 8, STA: 8, Band: 8}
+	cur.Workers = &WorkersReport{NumCPU: 8, STA: 8, Band: 8}
 
 	// A 6x slowdown would normally flag; under mismatched worker configs
 	// the numbers are not comparable, so the diff must warn and refuse.
@@ -138,7 +138,7 @@ func TestCompareReportsWorkerMismatch(t *testing.T) {
 	}
 
 	// Matching configs gate as usual.
-	cur.Workers = &WorkersReport{NumCPU: 1, Route: 1, STA: 1, Band: 1}
+	cur.Workers = &WorkersReport{NumCPU: 1, STA: 1, Band: 1}
 	if _, regressed := compareReports(old, cur, 0.25); !regressed {
 		t.Fatal("6x slowdown not flagged with matching worker configs")
 	}

@@ -13,7 +13,7 @@
 //	guardbench [-designs PRESENT,openMSP430_1] [-short] [-pop 8] [-gens 3]
 //	           [-seed 1] [-out BENCH_baseline.json]
 //	           [-compare old.json] [-tolerance 0.25]
-//	           [-route-workers N] [-sta-workers N]
+//	           [-sta-workers N]
 //
 // -short shrinks the exploration (pop 6, 2 generations) for CI smoke runs.
 // -compare diffs the fresh report against a previously written one: every
@@ -21,7 +21,7 @@
 // percentage delta, and the process exits 3 when any of them is more than
 // -tolerance (fractional) slower than before. Reports record the per-stage
 // worker counts they were measured under; when those differ between the
-// two reports (different machine, different -route-workers/-sta-workers),
+// two reports (different machine, different -sta-workers),
 // -compare still prints the deltas but warns and refuses to flag latency
 // regressions — the numbers are not comparable.
 package main
@@ -38,7 +38,6 @@ import (
 	"gdsiiguard"
 	"gdsiiguard/internal/core"
 	"gdsiiguard/internal/obs"
-	"gdsiiguard/internal/route"
 	"gdsiiguard/internal/sta"
 )
 
@@ -67,16 +66,14 @@ type DesignBench struct {
 }
 
 // WorkersReport records the parallelism the run resolved to, stage by
-// stage: the wave-parallel router, the level-parallel STA engine and the
-// band-parallel operator mass scans. Each count is what the stage would
-// use on a large input on this machine under the run's -route-workers /
-// -sta-workers settings (1 means the stage degenerated to its sequential
-// path). Wall times measured under different worker counts are not
-// comparable, so -compare warns and refuses to gate latencies when these
-// differ between reports.
+// stage: the level-parallel STA engine and the band-parallel operator mass
+// scans (routing is sequential). Each count is what the stage would use on
+// a large input on this machine under the run's -sta-workers setting (1
+// means the stage degenerated to its sequential path). Wall times measured
+// under different worker counts are not comparable, so -compare warns and
+// refuses to gate latencies when these differ between reports.
 type WorkersReport struct {
 	NumCPU int `json:"num_cpu"`
-	Route  int `json:"route"`
 	STA    int `json:"sta"`
 	Band   int `json:"band"`
 }
@@ -88,7 +85,6 @@ func resolvedWorkers() *WorkersReport {
 	const large = 1 << 20
 	return &WorkersReport{
 		NumCPU: runtime.NumCPU(),
-		Route:  route.ResolvedWorkers(large),
 		STA:    sta.ResolvedWorkers(large),
 		Band:   core.ResolvedOperatorBandWorkers(large),
 	}
@@ -128,11 +124,9 @@ func main() {
 		compare = flag.String("compare", "", "old report JSON to diff against; exit 3 on regression")
 		tol     = flag.Float64("tolerance", 0.25, "fractional slowdown allowed before -compare reports a regression")
 
-		routeWorkers = flag.Int("route-workers", 0, "wave-parallel routing workers (0: GOMAXPROCS, 1: sequential)")
-		staWorkers   = flag.Int("sta-workers", 0, "level-parallel STA workers (0: GOMAXPROCS, 1: sequential)")
+		staWorkers = flag.Int("sta-workers", 0, "level-parallel STA workers (0: GOMAXPROCS, 1: sequential)")
 	)
 	flag.Parse()
-	route.SetWorkers(*routeWorkers)
 	sta.SetWorkers(*staWorkers)
 	if *short {
 		*pop, *gens = 6, 2

@@ -7,7 +7,7 @@
 //
 //	guardd [-addr :8477] [-workers N] [-queue 64] [-job-timeout 15m]
 //	       [-cache 8] [-retention 256] [-pprof] [-log-level info]
-//	       [-state-dir DIR] [-route-workers N] [-sta-workers N]
+//	       [-state-dir DIR] [-sta-workers N]
 //	       [-coordinator] [-worker] [-join URL] [-advertise URL]
 //	       [-local-islands N] [-islands 4] [-migration-interval 2]
 //	       [-migration-count 2]
@@ -74,7 +74,6 @@ import (
 	"gdsiiguard/internal/fault"
 	"gdsiiguard/internal/nsga2"
 	"gdsiiguard/internal/obs"
-	"gdsiiguard/internal/route"
 	"gdsiiguard/internal/service"
 	"gdsiiguard/internal/sta"
 )
@@ -108,7 +107,6 @@ func main() {
 		withPprof    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		logLevel     = flag.String("log-level", "info", "structured log level (debug, info, warn, error)")
 		stateDir     = flag.String("state-dir", "", "durable state directory: jobs and exploration checkpoints survive restarts (empty: in-memory only)")
-		routeWorkers = flag.Int("route-workers", 0, "wave-parallel routing workers per evaluation (0: GOMAXPROCS, 1: sequential)")
 		staWorkers   = flag.Int("sta-workers", 0, "level-parallel STA workers per evaluation (0: GOMAXPROCS, 1: sequential)")
 	)
 	var cc clusterConfig
@@ -123,7 +121,6 @@ func main() {
 	flag.IntVar(&cc.migrationCount, "migration-count", 2, "elite chromosomes migrated to the ring neighbor per epoch")
 	flag.DurationVar(&cc.probeInterval, "probe-interval", 5*time.Second, "coordinator health-probe period")
 	flag.Parse()
-	route.SetWorkers(*routeWorkers)
 	sta.SetWorkers(*staWorkers)
 	if err := setupLogging(*logLevel); err != nil {
 		fmt.Fprintln(os.Stderr, "guardd:", err)

@@ -22,9 +22,8 @@ type routeGolden struct {
 }
 
 // routeGoldens were recorded from the closure-based pattern-route kernel
-// that priced every candidate in full. TestRouteWorkersBitIdentical only
-// compares worker counts under one kernel; these values catch any change
-// of routing decision across kernel rewrites.
+// that priced every candidate in full. They catch any change of routing
+// decision across kernel rewrites.
 var routeGoldens = map[string]routeGolden{
 	"PRESENT":      {segHash: 0x20b6374595113788, totalWL: 8424948, overflow: 0, victims: 0},
 	"openMSP430_1": {segHash: 0x48e1e7de0ba9e5ef, totalWL: 14474719, overflow: 0, victims: 0},
@@ -61,31 +60,26 @@ func goldenOf(res *route.Result) routeGolden {
 	}
 }
 
-// TestRouteGolden routes the benchmark placements at 1 and 2 wave workers
-// and requires the recorded segments, wirelength, overflow and victims.
+// TestRouteGolden routes the benchmark placements and requires the
+// recorded segments, wirelength, overflow and victims.
 func TestRouteGolden(t *testing.T) {
 	designs := []string{"PRESENT", "openMSP430_1", "openMSP430_2"}
 	if testing.Short() {
 		designs = designs[:1]
 	}
-	t.Cleanup(func() { route.SetWorkers(0) })
 	for _, name := range designs {
 		t.Run(name, func(t *testing.T) {
 			d, err := Build(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := routeGoldens[name]
-			for _, w := range []int{1, 2} {
-				route.SetWorkers(w)
-				res, err := route.Route(d.Layout, route.Options{Seed: d.Spec.Seed})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := goldenOf(res); got != want {
-					t.Errorf("%d workers: got {segHash: %#x, totalWL: %d, overflow: %#x, victims: %d}, want %+v",
-						w, got.segHash, got.totalWL, got.overflow, got.victims, want)
-				}
+			res, err := route.Route(d.Layout, route.Options{Seed: d.Spec.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := goldenOf(res), routeGoldens[name]; got != want {
+				t.Errorf("got {segHash: %#x, totalWL: %d, overflow: %#x, victims: %d}, want %+v",
+					got.segHash, got.totalWL, got.overflow, got.victims, want)
 			}
 		})
 	}

@@ -5,21 +5,18 @@ import (
 	"sync"
 	"testing"
 
-	"gdsiiguard/internal/route"
 	"gdsiiguard/internal/sta"
 )
 
-// TestConcurrentArenasWithParallelRouteSTA is the race check for the two
-// intra-evaluation parallel paths layered under the inter-evaluation arena
-// concurrency: several arenas evaluate the same chromosome set concurrently
-// while every route stage runs wave-parallel and every STA stage runs
-// level-parallel. Under -race this catches any shared mutable state the
-// workers leak across either boundary; in all modes it asserts the results
-// stay bit-identical to a sequential single-arena evaluation.
+// TestConcurrentArenasWithParallelRouteSTA is the race check for the
+// intra-evaluation parallel STA layered under the inter-evaluation arena
+// concurrency: several arenas evaluate the same chromosome set concurrently,
+// each routing and running level-parallel STA. Under -race this catches any
+// shared mutable state the router or the STA workers leak across arenas; in
+// all modes it asserts the results stay bit-identical to a sequential
+// single-arena evaluation.
 func TestConcurrentArenasWithParallelRouteSTA(t *testing.T) {
-	route.SetWorkers(4)
 	sta.SetWorkers(4)
-	defer route.SetWorkers(0)
 	defer sta.SetWorkers(0)
 
 	l := buildDesign(t, 12, 30, 0.5, 3)
@@ -56,9 +53,8 @@ func TestConcurrentArenasWithParallelRouteSTA(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Sequential reference: one memo-less arena with both parallel paths
-	// forced off. Parallel-under-concurrency must reproduce it exactly.
-	route.SetWorkers(1)
+	// Sequential reference: one memo-less arena with parallel STA forced
+	// off. Parallel-under-concurrency must reproduce it exactly.
 	sta.SetWorkers(1)
 	plain := NewScratchPlain(base)
 	for i, p := range params {

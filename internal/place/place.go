@@ -223,7 +223,12 @@ func nearestFit(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr
 				continue
 			}
 			span := radius - abs(dr)*rowWeight
-			for _, s := range []int{ts - span, ts + span} {
+			sites := [2]int{ts - span, ts + span}
+			n := 2
+			if span == 0 {
+				n = 1 // ts-0 and ts+0 are the same site
+			}
+			for _, s := range sites[:n] {
 				if s < 0 || s+in.Master.WidthSites > l.SitesPerRow {
 					continue
 				}

@@ -273,3 +273,78 @@ func BenchmarkGlobalPlacement(b *testing.B) {
 		}
 	}
 }
+
+// nearestFitDoubleProbe is nearestFit as it was when the span-0 site was
+// probed twice (ts-0 and ts+0): the reference the single probe must match.
+func nearestFitDoubleProbe(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr, ts, maxRadius int) (int, int, bool) {
+	rowWeight := int(l.Lib().Site.Height / l.Lib().Site.Width)
+	if rowWeight < 1 {
+		rowWeight = 1
+	}
+	limit := l.SitesPerRow + l.NumRows*rowWeight
+	if maxRadius > 0 && maxRadius < limit {
+		limit = maxRadius
+	}
+	for radius := 0; radius <= limit; radius += rowWeight {
+		for dr := -radius / rowWeight; dr <= radius/rowWeight; dr++ {
+			r := tr + dr
+			if r < 0 || r >= l.NumRows {
+				continue
+			}
+			span := radius - abs(dr)*rowWeight
+			for _, s := range []int{ts - span, ts + span} {
+				if s < 0 || s+in.Master.WidthSites > l.SitesPerRow {
+					continue
+				}
+				if l.CanPlace(in, r, s) && dens.fits(in, r, s) {
+					return r, s, true
+				}
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// TestNearestFitMatchesDoubleProbe searches from every row and site, for
+// cells of several widths, on a 60 %-utilized layout with a capped
+// blockage over its left half, and requires nearestFit to find exactly the
+// position (or failure) the double-probe search finds.
+func TestNearestFitMatchesDoubleProbe(t *testing.T) {
+	nl := chainNetlist(t, 6, 20)
+	l, err := Global(nl, GlobalOptions{TargetUtil: 0.6, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AddBlockage(layout.Blockage{Row0: 0, Row1: l.NumRows, Site0: 0, Site1: l.SitesPerRow / 2, MaxDensity: 0.5})
+	dens := newDensityTracker(l)
+	widths := map[int]*netlist.Instance{}
+	for _, in := range movableCells(l) {
+		if widths[in.Master.WidthSites] == nil {
+			widths[in.Master.WidthSites] = in
+		}
+	}
+	found, missed := 0, 0
+	for _, in := range widths {
+		for tr := 0; tr < l.NumRows; tr++ {
+			for ts := 0; ts < l.SitesPerRow; ts++ {
+				for _, radius := range []int{0, 3, 40} {
+					r, s, ok := nearestFit(l, dens, in, tr, ts, radius)
+					wr, ws, wok := nearestFitDoubleProbe(l, dens, in, tr, ts, radius)
+					if r != wr || s != ws || ok != wok {
+						t.Fatalf("%s from (%d, %d) radius %d: (%d, %d, %v), want (%d, %d, %v)",
+							in.Name, tr, ts, radius, r, s, ok, wr, ws, wok)
+					}
+					if ok {
+						found++
+					} else {
+						missed++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d widths: %d searches found a position, %d found none", len(widths), found, missed)
+	if found == 0 || missed == 0 {
+		t.Fatalf("fixture must both find and miss positions: found %d, missed %d", found, missed)
+	}
+}

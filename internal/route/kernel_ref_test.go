@@ -13,8 +13,7 @@ import (
 // kernel — per-call layer ladders, slice-held candidates, and pathCost
 // pricing every candidate in full through a per-GCell callback — as the
 // golden reference. The equivalence test asserts that the pruned kernel
-// chooses exactly the reference's segments, on the sequential router and
-// on a speculative router reading through its overlay.
+// chooses exactly the reference's segments.
 
 func refLayerPairs(r *router, lenDBU int64, clock bool) [][2]int {
 	k := r.l.Lib().NumLayers()
@@ -120,7 +119,7 @@ func refPathCost(r *router, a, b geom.Point, metal int) float64 {
 	cost := 0.0
 	demand := r.l.NDR.LayerScale(metal)
 	refWalk(r, a, b, func(idx int) {
-		u, c := refUsageAt(r, metal-1, idx)+demand, r.res.Cap[metal-1][idx]
+		u, c := r.res.Usage[metal-1][idx]+demand, r.res.Cap[metal-1][idx]
 		cost++
 		if c > 0 {
 			util := u / c
@@ -156,16 +155,6 @@ func refWalk(r *router, a, b geom.Point, f func(idx int)) {
 	for rr := r0; rr <= r1; rr++ {
 		f(g.Index(c0, rr))
 	}
-}
-
-func refUsageAt(r *router, li, idx int) float64 {
-	if r.spec != nil {
-		k := li*r.spec.cells + idx
-		if r.spec.mark[k] == r.spec.gen {
-			return r.spec.val[k]
-		}
-	}
-	return r.res.Usage[li][idx]
 }
 
 // randomCongestion fills a fresh result with per-layer capacities and
@@ -235,8 +224,7 @@ func randomConn(rng *rand.Rand, g Grid) (geom.Point, geom.Point) {
 // TestKernelMatchesReference routes random connections with the pruned
 // kernel and the reference kernel from identical states and requires the
 // same segments and the same usage after every net, under NDR scales
-// {1, 1.2, 1.5}, for clock and signal nets, on the sequential router and
-// on a speculative router whose overlay the cost loop reads.
+// {1, 1.2, 1.5}, for clock and signal nets.
 func TestKernelMatchesReference(t *testing.T) {
 	l := placedLocalMesh(t, 8, 60, 40, 160)
 	g := buildGrid(l, Options{}.withDefaults())
@@ -250,17 +238,8 @@ func TestKernelMatchesReference(t *testing.T) {
 		}
 		l.NDR = tech.NDR{Scale: ndr}
 		base := randomCongestion(rng, g, ndr, trial%4)
-		spec := trial%2 == 1
 		ref, got := newRouter(l, cloneUsage(base), nil, 0), newRouter(l, cloneUsage(base), nil, 0)
-		if spec {
-			ref.spec = newUsageOverlay(layers, g.Cols*g.Rows)
-			got.spec = newUsageOverlay(layers, g.Cols*g.Rows)
-		}
 		for net := 0; net < 40; net++ {
-			if spec {
-				ref.spec.reset()
-				got.spec.reset()
-			}
 			clock := rng.Intn(6) == 0
 			want := &NetRoute{LenByMetal: make([]int64, layers+1)}
 			have := &NetRoute{LenByMetal: make([]int64, layers+1)}
@@ -270,12 +249,12 @@ func TestKernelMatchesReference(t *testing.T) {
 				got.routeTwoPin(have, a, b, clock)
 			}
 			if !sameSegments(have.Segments, want.Segments) {
-				t.Fatalf("trial %d net %d (spec %v, clock %v): segments\n%v\nwant\n%v",
-					trial, net, spec, clock, have.Segments, want.Segments)
+				t.Fatalf("trial %d net %d (clock %v): segments\n%v\nwant\n%v",
+					trial, net, clock, have.Segments, want.Segments)
 			}
 			for li := 0; li < layers; li++ {
 				for idx := 0; idx < g.Cols*g.Rows; idx++ {
-					if u, w := refUsageAt(got, li, idx), refUsageAt(ref, li, idx); u != w {
+					if u, w := got.res.Usage[li][idx], ref.res.Usage[li][idx]; u != w {
 						t.Fatalf("trial %d net %d: usage[%d][%d] %g != %g", trial, net, li, idx, u, w)
 					}
 				}
@@ -285,8 +264,7 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestChooseAllocatesNothing pins the pricing loop's allocation-free
-// property for ordinary, degenerate and clock connections, with and
-// without a speculative overlay.
+// property for ordinary, degenerate and clock connections.
 func TestChooseAllocatesNothing(t *testing.T) {
 	l := placedLocalMesh(t, 8, 60, 40, 160)
 	g := buildGrid(l, Options{}.withDefaults())
@@ -298,15 +276,10 @@ func TestChooseAllocatesNothing(t *testing.T) {
 		{g.Center(3, 2), g.Center(3, 15)},
 		{g.Center(2, 9), g.Center(14, 9)},
 	}
-	for _, spec := range []bool{false, true} {
-		if spec {
-			r.spec = newUsageOverlay(len(res.Usage), g.Cols*g.Rows)
-		}
-		for _, c := range conns {
-			for _, clock := range []bool{false, true} {
-				if n := testing.AllocsPerRun(50, func() { r.choose(c[0], c[1], clock) }); n != 0 {
-					t.Errorf("spec %v clock %v %v→%v: %v allocs per choose", spec, clock, c[0], c[1], n)
-				}
+	for _, c := range conns {
+		for _, clock := range []bool{false, true} {
+			if n := testing.AllocsPerRun(50, func() { r.choose(c[0], c[1], clock) }); n != 0 {
+				t.Errorf("clock %v %v→%v: %v allocs per choose", clock, c[0], c[1], n)
 			}
 		}
 	}

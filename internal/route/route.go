@@ -289,12 +289,8 @@ type router struct {
 	// seed drives per-net tie-breaking. The rip-up victim order is a hash
 	// of (seed, net ID) per net, so it is self-contained: it does not
 	// depend on how many nets any other router instance processed before,
-	// on worker count, or on batch order.
+	// or on batch order.
 	seed int64
-	// spec, when non-nil, makes this a speculative worker router: usage
-	// reads see committed usage through the overlay and usage writes land
-	// in the overlay only (wave-parallel routing; see parallel.go).
-	spec *usageOverlay
 	// track, when non-nil, accumulates the GCells whose usage rip-up
 	// changes — route.Warm's Δ mask, extended through the rip-up passes so
 	// the caller can tell which nets' surroundings moved.
@@ -308,55 +304,28 @@ func newRouter(l *layout.Layout, res *Result, geo *Geometry, seed int64) *router
 	return &router{l: l, res: res, geo: geo, seed: seed, ladders: buildLadders(l.Lib())}
 }
 
-// routeAll routes the given geometry nets — a subsequence of geo.Order, in
-// canonical (descending-HPWL) order — dispatching to the wave-parallel path
-// when enough nets and workers are available. Both paths are bit-identical
-// (see parallel.go for the commit-protocol argument).
+// routeAll routes the given geometry nets in order: geo.Order (canonical,
+// descending HPWL) for the first pass, the hashed victim order for rip-up.
 func (r *router) routeAll(order []int32) {
-	if w := ResolvedWorkers(len(order)); w > 1 && r.spec == nil {
-		r.routeWaves(order, w)
-		return
-	}
 	for _, oi := range order {
 		r.routeGeoNet(int(oi))
 	}
 }
 
 // routeGeoNet pattern-routes the oi-th geometry net's precomputed two-pin
-// connections. Nets whose geometry has no connections (fewer than two
-// located terminals) stay unrouted, exactly as before.
+// connections and records the route. Nets whose geometry has no
+// connections (fewer than two located terminals) stay unrouted.
 func (r *router) routeGeoNet(oi int) {
-	if nr := r.buildGeoNet(oi); nr != nil {
-		r.res.NetRoutes[nr.Net.ID] = nr
-	}
-}
-
-// buildGeoNet routes the net and returns its NetRoute without recording it
-// in the result — the speculative path keeps the route private until the
-// commit pass accepts it.
-func (r *router) buildGeoNet(oi int) *NetRoute {
 	conns := r.geo.Conns[oi]
 	if len(conns) == 0 {
-		return nil
+		return
 	}
 	net := r.l.Netlist.Nets[r.geo.NetIDs[oi]]
 	nr := &NetRoute{Net: net, LenByMetal: make([]int64, r.l.Lib().NumLayers()+1)}
-	r.routeConns(nr, conns)
-	return nr
-}
-
-// rerouteGeoNet routes the net again into nr, a discarded route of the
-// same net, reusing its storage.
-func (r *router) rerouteGeoNet(nr *NetRoute, oi int) {
-	nr.Segments = nr.Segments[:0]
-	clear(nr.LenByMetal)
-	r.routeConns(nr, r.geo.Conns[oi])
-}
-
-func (r *router) routeConns(nr *NetRoute, conns []Conn) {
 	for _, c := range conns {
-		r.routeTwoPin(nr, c.A, c.B, nr.Net.IsClock)
+		r.routeTwoPin(nr, c.A, c.B, net.IsClock)
 	}
+	r.res.NetRoutes[net.ID] = nr
 }
 
 // buildLadders returns the candidate (hLayer, vLayer) metal pairs of the
@@ -613,27 +582,15 @@ func (g Grid) cellSpan(p, q gcell) span {
 // GCell would have AFTER this wire commits (current usage plus the wire's
 // demand) — pricing the pre-existing usage instead lets the wire that
 // pushes a GCell from just-under to just-over capacity through almost
-// free, which is exactly the wire the penalty exists to deter. A
-// speculative router reads usage through its overlay.
+// free, which is exactly the wire the penalty exists to deter.
 //
 // The run's cost is summed from zero in GCell order. Pricing stops, with
 // under false, as soon as base plus the partial cost reaches limit; every
 // term is non-negative, so the complete cost would reach it too.
 func (r *router) spanCost(s span, li int, demand, base, limit float64) (cost float64, under bool) {
 	usage, capa := r.res.Usage[li], r.res.Cap[li]
-	var val []float64
-	var mark []uint32
-	var gen uint32
-	if o := r.spec; o != nil {
-		off := li * o.cells
-		val, mark, gen = o.val[off:off+o.cells], o.mark[off:off+o.cells], o.gen
-	}
 	for idx := s.start; idx < s.end; idx += s.stride {
-		u := usage[idx]
-		if mark != nil && mark[idx] == gen {
-			u = val[idx]
-		}
-		u += demand
+		u := usage[idx] + demand
 		c := capa[idx]
 		cost++
 		if c > 0 {
@@ -656,25 +613,13 @@ func (r *router) spanCost(s span, li int, demand, base, limit float64) (cost flo
 
 // commit books track usage for the run and records the segment. Usage per
 // crossed GCell equals the NDR width scale of the layer: a 1.5× wide wire
-// consumes 1.5 tracks. Speculative routers book into their private overlay;
-// the overlay stores effective values seeded from the committed snapshot, so
-// within a net the floating-point additions associate exactly as they would
-// against the live grid.
+// consumes 1.5 tracks.
 func (r *router) commit(nr *NetRoute, a, b geom.Point, metal int) {
 	if a == b {
 		return
 	}
 	seg := Segment{Metal: metal, A: a, B: b}
-	scale := r.l.NDR.LayerScale(metal)
-	if r.spec != nil {
-		usage := r.res.Usage[metal-1]
-		s := r.res.Grid.span(a, b)
-		for idx := s.start; idx < s.end; idx += s.stride {
-			r.spec.add(metal-1, idx, usage[idx], scale)
-		}
-	} else {
-		r.addUsage(seg, scale)
-	}
+	r.addUsage(seg, r.l.NDR.LayerScale(metal))
 	nr.Segments = append(nr.Segments, seg)
 	nr.LenByMetal[metal] += a.ManhattanDist(b)
 }
@@ -750,9 +695,9 @@ func (r *router) ripupAndReroute() {
 		}
 	}
 	r.res.Victims += len(victims)
-	// Victim order is a per-net hash of (seed, net ID): deterministic,
-	// independent of worker count and of how many nets this router has
-	// already processed, unlike the shared math/rand shuffle it replaced.
+	// Victim order is a per-net hash of (seed, net ID): deterministic and
+	// independent of how many nets this router has already processed,
+	// unlike a shared math/rand shuffle.
 	sort.Slice(victims, func(i, j int) bool {
 		a, b := r.geo.NetIDs[victims[i]], r.geo.NetIDs[victims[j]]
 		ha, hb := netOrderHash(r.seed, a), netOrderHash(r.seed, b)
@@ -769,6 +714,18 @@ func (r *router) ripupAndReroute() {
 			}
 		}
 	}
+}
+
+// netOrderHash is a splitmix64-style mix of (seed, net ID): the
+// self-contained per-net tie-break key used to order rip-up victims.
+func netOrderHash(seed int64, id int32) uint64 {
+	x := uint64(seed) ^ (uint64(uint32(id))+1)*0x9E3779B97F4A7C15
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	x ^= x >> 31
+	return x
 }
 
 // finalize computes overflow and wirelength summaries.

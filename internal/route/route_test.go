@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"gdsiiguard/internal/geom"
@@ -384,6 +385,111 @@ func TestLayerPairsSpillBothWays(t *testing.T) {
 	for m := 1; m <= l.Lib().NumLayers(); m++ {
 		if !seen[m] {
 			t.Errorf("metal%d missing from ladder", m)
+		}
+	}
+}
+
+// TestNetOrderHashSelfContained pins the tie-break key down: it must be
+// deterministic, seed-sensitive, and collision-free over realistic net-ID
+// ranges, because the rip-up victim order (and therefore every routed
+// result) follows from it.
+func TestNetOrderHashSelfContained(t *testing.T) {
+	if netOrderHash(1, 42) != netOrderHash(1, 42) {
+		t.Fatal("hash is not deterministic")
+	}
+	if netOrderHash(1, 42) == netOrderHash(2, 42) {
+		t.Error("hash ignores the seed")
+	}
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		seen := make(map[uint64]int32, 1<<14)
+		for id := int32(0); id < 1<<14; id++ {
+			h := netOrderHash(seed, id)
+			if prev, dup := seen[h]; dup {
+				t.Fatalf("seed %d: ids %d and %d collide", seed, prev, id)
+			}
+			seen[h] = id
+		}
+	}
+}
+
+// TestRipupUnderPressure forces rip-up (wide NDR on a dense mesh) so the
+// hashed victim ordering and the reroute of the victim batch both run. The
+// result must be reproducible, and the usage grid must still equal the
+// usage of the final routes after every rip-up and reroute.
+func TestRipupUnderPressure(t *testing.T) {
+	l := placedMesh(t, 10, 30, 0.75)
+	for i := range l.NDR.Scale {
+		l.NDR.Scale[i] = 1.5
+	}
+	want, err := Route(l, Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Victims == 0 {
+		t.Fatal("fixture rips up no nets")
+	}
+	t.Logf("pressure fixture: victims=%d overflow=%.1f", want.Victims, want.Overflow)
+	got, err := Route(l, Options{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "pressure", got, want)
+
+	booked := make([][]float64, len(want.Usage))
+	for li := range booked {
+		booked[li] = make([]float64, len(want.Usage[li]))
+	}
+	for _, nr := range want.NetRoutes {
+		if nr == nil {
+			continue
+		}
+		for _, s := range nr.Segments {
+			sp := want.Grid.span(s.A, s.B)
+			for idx := sp.start; idx < sp.end; idx += sp.stride {
+				booked[s.Metal-1][idx] += l.NDR.LayerScale(s.Metal)
+			}
+		}
+	}
+	for li := range booked {
+		for i, u := range booked[li] {
+			if math.Abs(want.Usage[li][i]-u) > 1e-6 {
+				t.Fatalf("layer %d gcell %d: usage %g, final routes book %g", li+1, i, want.Usage[li][i], u)
+			}
+		}
+	}
+}
+
+// TestRouteConcurrentCallers routes the same layout from several goroutines
+// at once — the exploration loop's shape (concurrent arenas, shared
+// geometry) — and checks every result. Run under -race this is the
+// router's data-race gate.
+func TestRouteConcurrentCallers(t *testing.T) {
+	l := placedLocalMesh(t, 8, 60, 40, 160)
+	geo := BuildGeometry(l)
+	want, err := RouteWithGeometry(l, Options{Seed: 5}, geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const callers = 4
+	results := make([]*Result, callers)
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := RouteWithGeometry(l, Options{Seed: 5}, geo)
+			if err != nil {
+				t.Errorf("caller %d: %v", c, err)
+				return
+			}
+			results[c] = res
+		}()
+	}
+	wg.Wait()
+	for _, res := range results {
+		if res != nil {
+			sameResults(t, "concurrent", res, want)
 		}
 	}
 }

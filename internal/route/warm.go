@@ -317,14 +317,8 @@ func newDeltaMask(g Grid) *deltaMask {
 }
 
 // addSegments marks the GCells of every straight run — exactly the cells
-// walk visits when committing or uncommitting these segments.
-func (d *deltaMask) addSegments(segs []Segment) { d.setSegments(segs, true) }
-
-// clearSegments unmarks the GCells of every straight run, so a mask that
-// only ever held these segments is empty again in O(cells touched).
-func (d *deltaMask) clearSegments(segs []Segment) { d.setSegments(segs, false) }
-
-func (d *deltaMask) setSegments(segs []Segment, v bool) {
+// commit and uncommit touch for these segments.
+func (d *deltaMask) addSegments(segs []Segment) {
 	for _, s := range segs {
 		c0, r0 := d.g.AtDBU(s.A)
 		c1, r1 := d.g.AtDBU(s.B)
@@ -337,7 +331,7 @@ func (d *deltaMask) setSegments(segs []Segment, v bool) {
 		for r := r0; r <= r1; r++ {
 			row := d.m[r*d.g.Cols : (r+1)*d.g.Cols]
 			for c := c0; c <= c1; c++ {
-				row[c] = v
+				row[c] = true
 			}
 		}
 	}
