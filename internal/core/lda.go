@@ -170,6 +170,7 @@ func fillTile(l *layout.Layout, r0, r1, s0, s1 int, capD float64, timing *sta.Re
 		return cands[i].in.ID < cands[j].in.ID
 	})
 	moved := 0
+	var runs []layout.SiteRun
 	for _, c := range cands {
 		if budget <= 0 {
 			break
@@ -182,7 +183,8 @@ func fillTile(l *layout.Layout, r0, r1, s0, s1 int, capD float64, timing *sta.Re
 		placedAt := -1
 		var row int
 		for r := r0; r < r1 && placedAt < 0; r++ {
-			for _, run := range l.FreeRuns(r) {
+			runs = l.AppendFreeRuns(r, runs[:0])
+			for _, run := range runs {
 				lo := max(run.Start, s0)
 				hi := min(run.Start+run.Len, s1)
 				if hi-lo >= w {

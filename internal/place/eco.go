@@ -11,11 +11,17 @@ import (
 
 // densityTracker maintains, for every placement blockage, the number of
 // occupied sites inside its region, so blockage-cap checks during cell moves
-// are O(#blockages) instead of O(region area).
+// are O(blockages on the row) instead of O(region area).
 type densityTracker struct {
 	l    *layout.Layout
 	used []int // occupied sites per blockage
 	caps []int // allowed sites per blockage
+	// rowStart and rowBlk index the blockages by row: the blockages
+	// covering die row r are rowBlk[rowStart[r]:rowStart[r+1]], in
+	// ascending order. A cell is one row tall, so only these can overlap
+	// it; every other blockage overlaps it by 0.
+	rowStart []int32
+	rowBlk   []int32
 }
 
 func newDensityTracker(l *layout.Layout) *densityTracker {
@@ -33,12 +39,35 @@ func newDensityTracker(l *layout.Layout) *densityTracker {
 		d.used = append(d.used, used)
 		d.caps = append(d.caps, int(float64(area)*b.MaxDensity))
 	}
+	rows := l.NumRows
+	d.rowStart = make([]int32, rows+1)
+	for _, b := range l.Blockages {
+		for r := max(b.Row0, 0); r < min(b.Row1, rows); r++ {
+			d.rowStart[r+1]++
+		}
+	}
+	for r := 0; r < rows; r++ {
+		d.rowStart[r+1] += d.rowStart[r]
+	}
+	d.rowBlk = make([]int32, d.rowStart[rows])
+	next := append([]int32(nil), d.rowStart[:rows]...)
+	for i, b := range l.Blockages {
+		for r := max(b.Row0, 0); r < min(b.Row1, rows); r++ {
+			d.rowBlk[next[r]] = int32(i)
+			next[r]++
+		}
+	}
 	return d
+}
+
+// onRow returns the indices of the blockages covering die row r.
+func (d *densityTracker) onRow(r int) []int32 {
+	return d.rowBlk[d.rowStart[r]:d.rowStart[r+1]]
 }
 
 // overlap returns how many sites of the cell at (row, site) fall inside
 // blockage i.
-func (d *densityTracker) overlap(in *netlist.Instance, row, site, i int) int {
+func (d *densityTracker) overlap(in *netlist.Instance, row, site int, i int32) int {
 	b := d.l.Blockages[i]
 	if row < b.Row0 || row >= b.Row1 {
 		return 0
@@ -57,20 +86,20 @@ func (d *densityTracker) overlap(in *netlist.Instance, row, site, i int) int {
 }
 
 // fits reports whether placing the cell at (row, site) keeps every blockage
-// at or under its cap, accounting for the sites the cell would vacate.
-func (d *densityTracker) fits(in *netlist.Instance, row, site int) bool {
+// at or under its cap, accounting for the sites the cell would vacate at
+// from, its current placement. row must lie inside the die.
+func (d *densityTracker) fits(in *netlist.Instance, from layout.Placement, row, site int) bool {
 	if len(d.used) == 0 {
 		return true
 	}
-	p := d.l.PlacementOf(in)
-	for i := range d.used {
+	for _, i := range d.onRow(row) {
 		add := d.overlap(in, row, site, i)
 		if add == 0 {
 			continue
 		}
 		cur := 0
-		if p.Placed {
-			cur = d.overlap(in, p.Row, p.Site, i)
+		if from.Placed {
+			cur = d.overlap(in, from.Row, from.Site, i)
 		}
 		if d.used[i]-cur+add > d.caps[i] {
 			return false
@@ -79,10 +108,13 @@ func (d *densityTracker) fits(in *netlist.Instance, row, site int) bool {
 	return true
 }
 
-// move updates the tracker after a cell relocation.
+// move updates the tracker after a cell relocation between two die rows.
 func (d *densityTracker) move(in *netlist.Instance, oldRow, oldSite, newRow, newSite int) {
-	for i := range d.used {
-		d.used[i] += d.overlap(in, newRow, newSite, i) - d.overlap(in, oldRow, oldSite, i)
+	for _, i := range d.onRow(oldRow) {
+		d.used[i] -= d.overlap(in, oldRow, oldSite, i)
+	}
+	for _, i := range d.onRow(newRow) {
+		d.used[i] += d.overlap(in, newRow, newSite, i)
 	}
 }
 
@@ -173,19 +205,24 @@ func ECO(l *layout.Layout, seed int64) ECOResult {
 	return res
 }
 
-// movableCellsInRegion returns the non-fixed functional cells whose
-// placement origin falls in the blockage region, widest first (evacuating
+// movableCellsInRegion returns the non-fixed functional cells occupying at
+// least one site of the blockage region, widest first (evacuating
 // wide cells frees density fastest).
 func movableCellsInRegion(l *layout.Layout, b layout.Blockage) []*netlist.Instance {
-	seen := map[*netlist.Instance]bool{}
 	var out []*netlist.Instance
 	for r := b.Row0; r < b.Row1; r++ {
+		// A cell's sites are contiguous within its one row, so comparing
+		// against the previous instance seen in the row dedupes it.
+		var prev *netlist.Instance
 		for s := b.Site0; s < b.Site1; s++ {
 			in := l.At(r, s)
-			if in == nil || seen[in] || in.Fixed || !in.Master.IsFunctional() {
+			if in == nil || in == prev {
 				continue
 			}
-			seen[in] = true
+			prev = in
+			if in.Fixed || !in.Master.IsFunctional() {
+				continue
+			}
 			out = append(out, in)
 		}
 	}

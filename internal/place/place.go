@@ -203,10 +203,15 @@ func cellHPWL(l *layout.Layout, in *netlist.Instance) int64 {
 	return total
 }
 
-// nearestFit searches outward from (tr, ts) for the closest position where
-// the cell fits and all blockage caps stay satisfied. The search expands in
-// growing site-distance rings; rows are weighted by the site aspect ratio
-// (one row step ≈ rowWeight site steps).
+// nearestFit searches outward from (tr, ts) for a position where the cell
+// fits and all blockage caps stay satisfied, and returns the first one
+// found. The search expands in rings of growing site distance; rows are
+// weighted by the site aspect ratio (one row step ≈ rowWeight site steps),
+// and within a ring rows are visited in ascending order. The ring radius
+// grows in steps of rowWeight, so a row dr rows away is probed only at
+// sites ts ± (radius − |dr|·rowWeight), i.e. ts ± k·rowWeight: the result
+// is not the closest free position, and a free slot next to the target can
+// be missed. Only rows inside the die are probed.
 func nearestFit(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr, ts, maxRadius int) (int, int, bool) {
 	rowWeight := int(l.Lib().Site.Height / l.Lib().Site.Width)
 	if rowWeight < 1 {
@@ -216,12 +221,12 @@ func nearestFit(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr
 	if maxRadius > 0 && maxRadius < limit {
 		limit = maxRadius
 	}
+	from := l.PlacementOf(in)
+	w := in.Master.WidthSites
 	for radius := 0; radius <= limit; radius += rowWeight {
-		for dr := -radius / rowWeight; dr <= radius/rowWeight; dr++ {
+		k := radius / rowWeight
+		for dr := max(-k, -tr); dr <= min(k, l.NumRows-1-tr); dr++ {
 			r := tr + dr
-			if r < 0 || r >= l.NumRows {
-				continue
-			}
 			span := radius - abs(dr)*rowWeight
 			sites := [2]int{ts - span, ts + span}
 			n := 2
@@ -229,10 +234,10 @@ func nearestFit(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr
 				n = 1 // ts-0 and ts+0 are the same site
 			}
 			for _, s := range sites[:n] {
-				if s < 0 || s+in.Master.WidthSites > l.SitesPerRow {
+				if s < 0 || s+w > l.SitesPerRow {
 					continue
 				}
-				if l.CanPlace(in, r, s) && dens.fits(in, r, s) {
+				if l.CanPlace(in, r, s) && dens.fits(in, from, r, s) {
 					return r, s, true
 				}
 			}

@@ -296,7 +296,7 @@ func nearestFitDoubleProbe(l *layout.Layout, dens *densityTracker, in *netlist.I
 				if s < 0 || s+in.Master.WidthSites > l.SitesPerRow {
 					continue
 				}
-				if l.CanPlace(in, r, s) && dens.fits(in, r, s) {
+				if l.CanPlace(in, r, s) && dens.fits(in, l.PlacementOf(in), r, s) {
 					return r, s, true
 				}
 			}
