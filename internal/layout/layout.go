@@ -10,6 +10,7 @@ package layout
 
 import (
 	"fmt"
+	"maps"
 
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/netlist"
@@ -349,18 +350,24 @@ func (l *Layout) TermPos(t netlist.Terminal) (geom.Point, bool) {
 
 // NetTermPoints returns the DBU positions of all located terminals of a net.
 func (l *Layout) NetTermPoints(n *netlist.Net) []geom.Point {
-	pts := make([]geom.Point, 0, n.NumTerms())
+	return l.AppendNetTermPoints(make([]geom.Point, 0, n.NumTerms()), n)
+}
+
+// AppendNetTermPoints appends the DBU positions of the net's located
+// terminals (driver first, then sinks in order) to dst and returns the
+// extended slice, so a caller walking many nets can reuse one buffer.
+func (l *Layout) AppendNetTermPoints(dst []geom.Point, n *netlist.Net) []geom.Point {
 	if n.HasDriver() {
 		if p, ok := l.TermPos(n.Driver); ok {
-			pts = append(pts, p)
+			dst = append(dst, p)
 		}
 	}
 	for _, s := range n.Sinks {
 		if p, ok := l.TermPos(s); ok {
-			pts = append(pts, p)
+			dst = append(dst, p)
 		}
 	}
-	return pts
+	return dst
 }
 
 // NetHPWL returns the half-perimeter wirelength of a net in DBU.
@@ -438,14 +445,11 @@ func (l *Layout) Clone() *Layout {
 		NumRows:     l.NumRows,
 		SitesPerRow: l.SitesPerRow,
 		Origin:      l.Origin,
-		PortPos:     make(map[string]geom.Point, len(l.PortPos)),
+		PortPos:     maps.Clone(l.PortPos),
 		Blockages:   append([]Blockage(nil), l.Blockages...),
 		NDR:         l.NDR.Clone(),
 		placements:  append([]Placement(nil), l.placements...),
 		occ:         append([]int32(nil), l.occ...),
-	}
-	for k, v := range l.PortPos {
-		out.PortPos[k] = v
 	}
 	return out
 }

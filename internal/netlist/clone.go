@@ -4,27 +4,27 @@ package netlist
 // with identical names, masters, connectivity, and flags. Master cells are
 // shared (the library is read-only).
 //
-// Terminals and pin connections rebind by ID: an instance's or net's ID is
-// its index (AddInstance, AddNet and RemoveFillers keep it so). Instances,
-// nets, sinks and pin connections are each allocated in one slab; every
-// net's Sinks and every instance's Conns is a full slice expression over
-// its slab (cap = len), so a later append on the clone reallocates instead
-// of overwriting a neighbour.
+// Terminals and pin connections rebind by position: an instance's or
+// net's ID is its index (AddInstance, AddNet and RemoveFillers keep it so),
+// and a port records its index in Ports. Ports, instances, nets, sinks and
+// pin connections are each allocated in one slab, so a clone costs a fixed
+// number of allocations whatever the design size; every net's Sinks and
+// every instance's Conns is a full slice expression over its slab (cap =
+// len), so a later append on the clone reallocates instead of overwriting
+// a neighbour. The clone's name index is not copied: it is built on the
+// clone's first lookup, if one ever comes.
 func (nl *Netlist) Clone() *Netlist {
 	out := &Netlist{
-		Name:       nl.Name,
-		Lib:        nl.Lib,
-		Insts:      make([]*Instance, len(nl.Insts)),
-		Nets:       make([]*Net, len(nl.Nets)),
-		Ports:      make([]*Port, 0, len(nl.Ports)),
-		instByName: make(map[string]*Instance, len(nl.Insts)),
-		netByName:  make(map[string]*Net, len(nl.Nets)),
-		portByName: make(map[string]*Port, len(nl.Ports)),
+		Name:  nl.Name,
+		Lib:   nl.Lib,
+		Insts: make([]*Instance, len(nl.Insts)),
+		Nets:  make([]*Net, len(nl.Nets)),
+		Ports: make([]*Port, len(nl.Ports)),
 	}
-	for _, p := range nl.Ports {
-		np := &Port{Name: p.Name, Dir: p.Dir}
-		out.Ports = append(out.Ports, np)
-		out.portByName[np.Name] = np
+	ports := make([]Port, len(nl.Ports))
+	for i, p := range nl.Ports {
+		ports[i] = Port{Name: p.Name, Dir: p.Dir, pos: i}
+		out.Ports[i] = &ports[i]
 	}
 	nets := make([]Net, len(nl.Nets))
 	numSinks := 0
@@ -32,7 +32,6 @@ func (nl *Netlist) Clone() *Netlist {
 		nn := &nets[i]
 		nn.ID, nn.Name, nn.IsClock = n.ID, n.Name, n.IsClock
 		out.Nets[i] = nn
-		out.netByName[nn.Name] = nn
 		numSinks += len(n.Sinks)
 	}
 	insts := make([]Instance, len(nl.Insts))
@@ -42,7 +41,6 @@ func (nl *Netlist) Clone() *Netlist {
 		ni.ID, ni.Name, ni.Master = in.ID, in.Name, in.Master
 		ni.SecurityCritical, ni.Fixed = in.SecurityCritical, in.Fixed
 		out.Insts[i] = ni
-		out.instByName[ni.Name] = ni
 		numConns += len(in.Conns)
 	}
 	// Rebuild terminals with the cloned objects.
@@ -71,7 +69,7 @@ func (nl *Netlist) Clone() *Netlist {
 
 func (nl *Netlist) cloneTerm(t Terminal) Terminal {
 	if t.IsPort() {
-		return Terminal{Port: nl.portByName[t.Port.Name], Pin: t.Pin}
+		return Terminal{Port: nl.Ports[t.Port.pos], Pin: t.Pin}
 	}
 	return Terminal{Inst: nl.Insts[t.Inst.ID], Pin: t.Pin}
 }

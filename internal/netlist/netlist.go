@@ -7,11 +7,18 @@ package netlist
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"gdsiiguard/internal/tech"
 )
 
 // Netlist is a flat gate-level design.
+//
+// Name lookups (Instance, Net, Port) are safe for concurrent use with each
+// other. Everything that changes the netlist — AddInstance, AddNet,
+// AddPort, Connect, ConnectPort, RemoveFillers, MarkCritical — needs
+// exclusive access. A clone shares no mutable state with its source, so
+// the source and each of its clones may be used from different goroutines.
 type Netlist struct {
 	Name string
 	Lib  *tech.Library
@@ -20,9 +27,41 @@ type Netlist struct {
 	Nets  []*Net
 	Ports []*Port
 
-	instByName map[string]*Instance
-	netByName  map[string]*Net
-	portByName map[string]*Port
+	// names is the name index, built on the first lookup or mutation
+	// (see index): a clone starts without one, and most clones — tile
+	// ECOs, delta evaluations — never look a name up.
+	namesOnce sync.Once
+	names     nameIndex
+}
+
+// nameIndex maps names to the netlist's own objects.
+type nameIndex struct {
+	inst map[string]*Instance
+	net  map[string]*Net
+	port map[string]*Port
+}
+
+// index returns the name index, building it from Insts, Nets and Ports on
+// first use. Mutators keep a built index current.
+func (nl *Netlist) index() *nameIndex {
+	nl.namesOnce.Do(func() {
+		ix := nameIndex{
+			inst: make(map[string]*Instance, len(nl.Insts)),
+			net:  make(map[string]*Net, len(nl.Nets)),
+			port: make(map[string]*Port, len(nl.Ports)),
+		}
+		for _, in := range nl.Insts {
+			ix.inst[in.Name] = in
+		}
+		for _, n := range nl.Nets {
+			ix.net[n.Name] = n
+		}
+		for _, p := range nl.Ports {
+			ix.port[p.Name] = p
+		}
+		nl.names = ix
+	})
+	return &nl.names
 }
 
 // Instance is one placed-or-placeable standard-cell instance.
@@ -115,22 +154,19 @@ const (
 type Port struct {
 	Name string
 	Dir  PortDir
+
+	pos int // index in Netlist.Ports (AddPort and Clone keep it so)
 }
 
 // New returns an empty netlist over the given library.
 func New(name string, lib *tech.Library) *Netlist {
-	return &Netlist{
-		Name:       name,
-		Lib:        lib,
-		instByName: make(map[string]*Instance),
-		netByName:  make(map[string]*Net),
-		portByName: make(map[string]*Port),
-	}
+	return &Netlist{Name: name, Lib: lib}
 }
 
 // AddInstance creates an instance of the named master cell.
 func (nl *Netlist) AddInstance(name, master string) (*Instance, error) {
-	if _, dup := nl.instByName[name]; dup {
+	ix := nl.index()
+	if _, dup := ix.inst[name]; dup {
 		return nil, fmt.Errorf("netlist: duplicate instance %q", name)
 	}
 	m := nl.Lib.Cell(master)
@@ -139,40 +175,42 @@ func (nl *Netlist) AddInstance(name, master string) (*Instance, error) {
 	}
 	in := &Instance{ID: len(nl.Insts), Name: name, Master: m}
 	nl.Insts = append(nl.Insts, in)
-	nl.instByName[name] = in
+	ix.inst[name] = in
 	return in, nil
 }
 
 // AddNet creates a named net.
 func (nl *Netlist) AddNet(name string) (*Net, error) {
-	if _, dup := nl.netByName[name]; dup {
+	ix := nl.index()
+	if _, dup := ix.net[name]; dup {
 		return nil, fmt.Errorf("netlist: duplicate net %q", name)
 	}
 	n := &Net{ID: len(nl.Nets), Name: name}
 	nl.Nets = append(nl.Nets, n)
-	nl.netByName[name] = n
+	ix.net[name] = n
 	return n, nil
 }
 
 // AddPort creates a top-level port.
 func (nl *Netlist) AddPort(name string, dir PortDir) (*Port, error) {
-	if _, dup := nl.portByName[name]; dup {
+	ix := nl.index()
+	if _, dup := ix.port[name]; dup {
 		return nil, fmt.Errorf("netlist: duplicate port %q", name)
 	}
-	p := &Port{Name: name, Dir: dir}
+	p := &Port{Name: name, Dir: dir, pos: len(nl.Ports)}
 	nl.Ports = append(nl.Ports, p)
-	nl.portByName[name] = p
+	ix.port[name] = p
 	return p, nil
 }
 
 // Instance returns the named instance, or nil.
-func (nl *Netlist) Instance(name string) *Instance { return nl.instByName[name] }
+func (nl *Netlist) Instance(name string) *Instance { return nl.index().inst[name] }
 
 // Net returns the named net, or nil.
-func (nl *Netlist) Net(name string) *Net { return nl.netByName[name] }
+func (nl *Netlist) Net(name string) *Net { return nl.index().net[name] }
 
 // Port returns the named port, or nil.
-func (nl *Netlist) Port(name string) *Port { return nl.portByName[name] }
+func (nl *Netlist) Port(name string) *Port { return nl.index().port[name] }
 
 // Connect binds pin `pin` of instance `in` to net `n`. Output pins become
 // the net's driver; inputs become sinks. Connecting two drivers to a net or
@@ -243,8 +281,9 @@ func (nl *Netlist) CriticalInsts() []*Instance {
 func (nl *Netlist) MarkCritical(names []string) (int, error) {
 	var missing []string
 	found := 0
+	ix := nl.index()
 	for _, name := range names {
-		if in := nl.instByName[name]; in != nil {
+		if in := ix.inst[name]; in != nil {
 			in.SecurityCritical = true
 			found++
 		} else {
@@ -376,11 +415,12 @@ func (nl *Netlist) Stats() Stats {
 // RemoveFillers deletes all filler/tap instances (they are never connected
 // to signal nets). Used when re-running fill-based defenses from scratch.
 func (nl *Netlist) RemoveFillers() int {
+	ix := nl.index()
 	kept := nl.Insts[:0]
 	removed := 0
 	for _, in := range nl.Insts {
 		if in.Master.Class == tech.Filler {
-			delete(nl.instByName, in.Name)
+			delete(ix.inst, in.Name)
 			removed++
 			continue
 		}

@@ -3,7 +3,6 @@ package route
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
@@ -45,24 +44,45 @@ type Conn struct {
 // BuildGeometry computes the routing geometry of the layout's current
 // placement. The decomposition reproduces the router's historical
 // Prim-style nearest-terminal order bit-identically.
+//
+// It allocates a fixed number of times whatever the design size: terminal
+// points and the decomposition's working sets live in buffers reused from
+// net to net, and every net's Conns is carved from one slab with a full
+// slice expression (cap = len), so the nets never share capacity.
 func BuildGeometry(l *layout.Layout) *Geometry {
 	nl := l.Netlist
-	g := &Geometry{}
+	// Size everything first: the routable nets, an upper bound on their
+	// connections (one per terminal after the driver) and the largest
+	// terminal count, which bounds every scratch buffer.
+	numNets, numConns, maxTerms := 0, 0, 0
+	for _, n := range nl.Nets {
+		if t := n.NumTerms(); t >= 2 && n.HasDriver() {
+			numNets++
+			numConns += t - 1
+			maxTerms = max(maxTerms, t)
+		}
+	}
+	g := &Geometry{
+		NetIDs: make([]int32, 0, numNets),
+		Order:  make([]int32, numNets),
+		Conns:  make([][]Conn, numNets),
+		BBox:   make([]geom.Rect, numNets),
+	}
 	for _, n := range nl.Nets {
 		if n.NumTerms() >= 2 && n.HasDriver() {
 			g.NetIDs = append(g.NetIDs, int32(n.ID))
 		}
 	}
-	g.Conns = make([][]Conn, len(g.NetIDs))
-	g.BBox = make([]geom.Rect, len(g.NetIDs))
-	g.Order = make([]int32, len(g.NetIDs))
+	d := newDecomposer(maxTerms)
+	slab := make([]Conn, 0, numConns)
+	pts := make([]geom.Point, 0, maxTerms)
 	// One pass per net: the terminal points give the bounding box, and the
 	// bounding box gives the HPWL (zero below two located terminals, as in
-	// Layout.NetHPWL).
-	hpwl := make([]int64, len(g.NetIDs))
+	// Layout.NetHPWL), kept in key until the order is sorted.
+	key := make([]uint64, numNets)
+	var maxHPWL int64
 	for i, id := range g.NetIDs {
-		g.Order[i] = int32(i)
-		pts := l.NetTermPoints(nl.Nets[id])
+		pts = l.AppendNetTermPoints(pts[:0], nl.Nets[id])
 		if len(pts) < 2 {
 			continue
 		}
@@ -81,19 +101,47 @@ func BuildGeometry(l *layout.Layout) *Geometry {
 				bb.Hi.Y = p.Y
 			}
 		}
-		hpwl[i] = bb.W() + bb.H()
+		hpwl := bb.W() + bb.H()
+		key[i] = uint64(hpwl)
+		maxHPWL = max(maxHPWL, hpwl)
 		g.BBox[i] = bb
-		g.Conns[i] = decompose(pts)
+		at := len(slab)
+		slab = d.decompose(slab, pts)
+		g.Conns[i] = slab[at:len(slab):len(slab)]
 	}
-	// Descending HPWL, ties in netlist order: the key (−HPWL, index) is
-	// unique, so an unstable sort yields the stable order.
-	slices.SortFunc(g.Order, func(a, b int32) int {
-		if c := cmp.Compare(hpwl[b], hpwl[a]); c != 0 {
+	sortByHPWL(g.Order, key, maxHPWL)
+	return g
+}
+
+// sortByHPWL fills order with the indices 0..len(order)-1 in routing order:
+// descending HPWL, ties in netlist order. key[i] holds net i's HPWL on
+// entry and is overwritten.
+//
+// When every HPWL fits, the key becomes (maxHPWL−HPWL)<<32 | i — ascending
+// keys are descending HPWL with ties by index — and a plain integer sort
+// replaces a two-key comparison closure. The key is unique, so this is
+// exactly the stable order; so is the closure sort the rare oversized die
+// falls back to.
+func sortByHPWL(order []int32, key []uint64, maxHPWL int64) {
+	if maxHPWL < 1<<32 {
+		for i := range key {
+			key[i] = uint64(maxHPWL-int64(key[i]))<<32 | uint64(i)
+		}
+		slices.Sort(key)
+		for i, k := range key {
+			order[i] = int32(uint32(k))
+		}
+		return
+	}
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(key[b], key[a]); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return g
 }
 
 // largeNetTerms bounds the exact Prim decomposition. The nearest-pair scan
@@ -107,82 +155,102 @@ const largeNetTerms = 96
 // when choosing its tree parent.
 const mortonWindow = 8
 
-// decompose turns a net's terminal points (driver first) into its two-pin
-// connection sequence: exact Prim for ordinary nets, and for huge-fanout
-// nets (clock and other die-spanning trees) a Morton-ordered window tree —
-// terminals sort along the Z-order curve and each connects to its nearest
-// predecessor within a fixed window. Z-order preserves spatial locality,
-// so the tree stays near the MST's wirelength at O(n log n) instead of the
-// exact scan's O(n³). Both paths are pure functions of the point list, so
-// determinism and Geometry immutability are unaffected.
-func decompose(pts []geom.Point) []Conn {
+// decomposer holds the working sets of decompose, reused from net to net.
+type decomposer struct {
+	connected, remaining []geom.Point
+	sinks                []mortonTerm
+}
+
+// mortonTerm is one sink of a large net in Morton order.
+type mortonTerm struct {
+	p    geom.Point
+	code uint64
+	idx  int
+}
+
+// newDecomposer sizes the working sets for nets of up to maxTerms
+// terminals, so decompose never allocates.
+func newDecomposer(maxTerms int) *decomposer {
+	prim := min(maxTerms, largeNetTerms)
+	d := &decomposer{
+		connected: make([]geom.Point, 0, prim),
+		remaining: make([]geom.Point, 0, prim),
+	}
+	if maxTerms > largeNetTerms {
+		d.sinks = make([]mortonTerm, 0, maxTerms-1)
+	}
+	return d
+}
+
+// decompose appends a net's two-pin connection sequence for its terminal
+// points (driver first) to dst: exact Prim for ordinary nets, and for
+// huge-fanout nets (clock and other die-spanning trees) a Morton-ordered
+// window tree — terminals sort along the Z-order curve and each connects
+// to its nearest predecessor within a fixed window. Z-order preserves
+// spatial locality, so the tree stays near the MST's wirelength at
+// O(n log n) instead of the exact scan's O(n³). Both paths are pure
+// functions of the point list, so determinism and Geometry immutability
+// are unaffected.
+func (d *decomposer) decompose(dst []Conn, pts []geom.Point) []Conn {
 	if len(pts) > largeNetTerms {
-		return decomposeMorton(pts)
+		return d.decomposeMorton(dst, pts)
 	}
 	// Prim-style: start from the driver (pts[0]), connect the nearest
 	// unconnected terminal to its nearest connected terminal.
-	connected := []geom.Point{pts[0]}
-	remaining := append([]geom.Point(nil), pts[1:]...)
-	conns := make([]Conn, 0, len(remaining))
+	connected := append(d.connected[:0], pts[0])
+	remaining := append(d.remaining[:0], pts[1:]...)
 	for len(remaining) > 0 {
 		bi, bj, best := 0, 0, int64(1)<<62
 		for ri, p := range remaining {
 			for ci, q := range connected {
-				if d := p.ManhattanDist(q); d < best {
-					bi, bj, best = ri, ci, d
+				if dist := p.ManhattanDist(q); dist < best {
+					bi, bj, best = ri, ci, dist
 				}
 			}
 		}
-		conns = append(conns, Conn{A: connected[bj], B: remaining[bi]})
+		dst = append(dst, Conn{A: connected[bj], B: remaining[bi]})
 		connected = append(connected, remaining[bi])
 		remaining = append(remaining[:bi], remaining[bi+1:]...)
 	}
-	return conns
+	d.connected, d.remaining = connected, remaining
+	return dst
 }
 
-// decomposeMorton builds the large-net window tree. Sinks sort by Morton
+// decomposeMorton appends the large-net window tree. Sinks sort by Morton
 // code (ties by X, Y, then original terminal order, so equal points cannot
 // reorder nondeterministically); the driver leads the sequence and each
 // sink connects to the nearest of its mortonWindow predecessors.
-func decomposeMorton(pts []geom.Point) []Conn {
-	type term struct {
-		p    geom.Point
-		code uint64
-		idx  int
-	}
-	sinks := make([]term, len(pts)-1)
+func (d *decomposer) decomposeMorton(dst []Conn, pts []geom.Point) []Conn {
+	sinks := d.sinks[:0]
 	for i, p := range pts[1:] {
-		sinks[i] = term{p: p, code: mortonCode(p), idx: i}
+		sinks = append(sinks, mortonTerm{p: p, code: mortonCode(p), idx: i})
 	}
-	sort.Slice(sinks, func(a, b int) bool {
-		sa, sb := sinks[a], sinks[b]
-		if sa.code != sb.code {
-			return sa.code < sb.code
+	// The key (code, X, Y, idx) is unique, so any sort gives one order.
+	slices.SortFunc(sinks, func(sa, sb mortonTerm) int {
+		if c := cmp.Compare(sa.code, sb.code); c != 0 {
+			return c
 		}
-		if sa.p.X != sb.p.X {
-			return sa.p.X < sb.p.X
+		if c := cmp.Compare(sa.p.X, sb.p.X); c != 0 {
+			return c
 		}
-		if sa.p.Y != sb.p.Y {
-			return sa.p.Y < sb.p.Y
+		if c := cmp.Compare(sa.p.Y, sb.p.Y); c != 0 {
+			return c
 		}
-		return sa.idx < sb.idx
+		return cmp.Compare(sa.idx, sb.idx)
 	})
 	// chain[0] is the driver; chain[1+i] is the i-th sorted sink.
-	conns := make([]Conn, len(sinks))
 	for i, s := range sinks {
-		lo := i + 1 - mortonWindow
-		if lo < 0 {
-			lo = 0
-		}
+		lo := max(i+1-mortonWindow, 0)
 		bp, best := pts[0], s.p.ManhattanDist(pts[0])
 		for j := lo; j < i; j++ {
-			if d := s.p.ManhattanDist(sinks[j].p); d < best {
-				bp, best = sinks[j].p, d
+			if dist := s.p.ManhattanDist(sinks[j].p); dist < best {
+				bp, best = sinks[j].p, dist
 			}
 		}
-		conns[i] = Conn{A: bp, B: s.p}
+		dst = append(dst, Conn{A: bp, B: s.p})
 	}
-	return conns
+	d.sinks = sinks
+	return dst
 }
 
 // mortonCode interleaves the low 32 bits of X and Y (clamped at zero) into

@@ -13,7 +13,8 @@ var routeSeconds = obs.Default().Histogram(
 // (no compatible donor route cached), dirty_frac (too many dirty nets to be
 // worth replaying), victims (donor was reshaped by rip-up), netlist (net
 // count mismatch), ndr (NDR scale mismatch), grid (GCell grid mismatch),
-// layers (fewer than 2 routing layers).
+// core (equal grid over a different core), library (donor routed over a
+// different library), layers (fewer than 2 routing layers).
 var warmDeclineTotal = obs.Default().Counter(
 	"gdsiiguard_route_warm_decline_total",
 	"Warm-start route declines by reason (the route fell back to a cold run).",

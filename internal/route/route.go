@@ -158,7 +158,8 @@ func (nr *NetRoute) TotalLen() int64 {
 type Result struct {
 	Grid Grid
 	// Usage and Cap are track usage/capacity per layer (0-based metal-1)
-	// per GCell.
+	// per GCell. Cap is read-only once filled: a warm-started result
+	// shares its donor's.
 	Usage [][]float64
 	Cap   [][]float64
 	// NetRoutes is indexed by net ID.
@@ -182,6 +183,10 @@ type Result struct {
 	// state each net saw at its main-loop turn, so replay equivalence
 	// cannot be argued net by net.
 	Victims int
+
+	// lib is the library whose layer stack Cap was computed for; a warm
+	// start shares Cap only with a donor routed over the same one.
+	lib *tech.Library
 }
 
 // Route globally routes every net of the layout under its current NDR.
@@ -213,14 +218,12 @@ func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry) (*Result, e
 	grid := buildGrid(l, opt)
 	res := &Result{
 		Grid:      grid,
+		Usage:     layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
+		Cap:       layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
 		NetRoutes: make([]*NetRoute, len(l.Netlist.Nets)),
 		Core:      l.CoreRect(),
 		NDRScale:  append([]float64(nil), l.NDR.Scale...),
-	}
-	n := grid.Cols * grid.Rows
-	for li := 0; li < lib.NumLayers(); li++ {
-		res.Usage = append(res.Usage, make([]float64, n))
-		res.Cap = append(res.Cap, make([]float64, n))
+		lib:       lib,
 	}
 	fillCapacity(l, res)
 
@@ -251,6 +254,17 @@ func buildGrid(l *layout.Layout, opt Options) Grid {
 		g.Rows = 1
 	}
 	return g
+}
+
+// layerGrids returns k zeroed per-layer grids of n GCells carved from one
+// allocation, each a full slice expression (cap = n).
+func layerGrids(k, n int) [][]float64 {
+	slab := make([]float64, k*n)
+	out := make([][]float64, k)
+	for li := range out {
+		out[li] = slab[li*n : (li+1)*n : (li+1)*n]
+	}
+	return out
 }
 
 // fillCapacity computes per-layer per-GCell track capacity: the number of
@@ -643,15 +657,15 @@ func (r *router) book(segs []Segment) {
 }
 
 // uncommit releases the usage of a routed net (for rip-up). Adding the
-// negated scale is exactly IEEE subtraction of the scale.
+// negated scale is exactly IEEE subtraction of the scale. The record is
+// detached from its slices, never written through them: a replayed net's
+// Segments and LenByMetal belong to its donor. Rerouting the net then
+// replaces the record.
 func (r *router) uncommit(nr *NetRoute) {
 	for _, s := range nr.Segments {
 		r.addUsage(s, -r.l.NDR.LayerScale(s.Metal))
 	}
-	nr.Segments = nil
-	for i := range nr.LenByMetal {
-		nr.LenByMetal[i] = 0
-	}
+	nr.Segments, nr.LenByMetal = nil, nil
 }
 
 // ripupAndReroute rips up nets that cross overflowed GCells and re-routes

@@ -26,7 +26,7 @@ type WarmStats struct {
 	ChangedCount int
 	// Decline names the failed precondition when Warm returns a nil
 	// Result ("" on success): "layers", "no_donor", "victims", "netlist",
-	// "ndr", or "grid". The same reasons feed the
+	// "ndr", "grid", "core" or "library". The same reasons feed the
 	// gdsiiguard_route_warm_decline_total metric.
 	Decline string
 }
@@ -64,9 +64,16 @@ type WarmStats struct {
 //
 // Preconditions (checked; failing any returns a nil Result and the caller
 // falls back to a cold route): the donor routed the same netlist under an
-// exactly equal NDR scale and grid, and had zero rip-up victims — a donor
-// whose final routes were reshaped by rip-up no longer reflects the usage
-// each net saw at its main-loop turn, so the equivalence cannot be argued.
+// exactly equal NDR scale, grid, core and library, and had zero rip-up
+// victims — a donor whose final routes were reshaped by rip-up no longer
+// reflects the usage each net saw at its main-loop turn, so the
+// equivalence cannot be argued.
+//
+// Track capacity is a pure function of the library, the grid and the core
+// (fillCapacity), so with all three equal the donor's Cap is exactly what
+// fillCapacity would compute: the result shares it instead. Replayed nets
+// share the donor's Segments and LenByMetal, and their NetRoute records
+// come from one per-call slab, so replay allocates nothing per net.
 func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []bool) (*Result, WarmStats, error) {
 	var st WarmStats
 	if err := fault.Hit(fault.Route); err != nil {
@@ -97,43 +104,53 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 		}
 	}
 	grid := buildGrid(l, opt)
-	if grid != donor.Grid {
+	switch {
+	case grid != donor.Grid:
 		return decline("grid")
+	case l.CoreRect() != donor.Core:
+		// An equal grid can still cover a different core (the column
+		// count rounds SitesPerRow up), and boundary GCells' capacity is
+		// clipped to the core.
+		return decline("core")
+	case donor.lib != lib:
+		return decline("library")
 	}
 
 	defer routeSeconds.Start().Stop()
 	res := &Result{
 		Grid:      grid,
+		Usage:     layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
+		Cap:       donor.Cap,
 		NetRoutes: make([]*NetRoute, len(l.Netlist.Nets)),
-		Core:      l.CoreRect(),
+		Core:      donor.Core,
 		NDRScale:  append([]float64(nil), l.NDR.Scale...),
+		lib:       lib,
 	}
-	n := grid.Cols * grid.Rows
-	for li := 0; li < lib.NumLayers(); li++ {
-		res.Usage = append(res.Usage, make([]float64, n))
-		res.Cap = append(res.Cap, make([]float64, n))
-	}
-	fillCapacity(l, res)
 	r := newRouter(l, res, geo, opt.Seed)
 
 	// Δ starts as the donor paths of every dirty net: wherever those
 	// committed usage in the donor run, usage here is already different —
-	// regardless of where the dirty net lands in the order.
+	// regardless of where the dirty net lands in the order. The clean nets
+	// with a donor route bound how many nets replay.
 	delta := newDeltaMask(grid)
+	replayable := 0
 	for _, id := range geo.NetIDs {
-		if dirty[id] {
-			if dnr := donor.NetRoutes[id]; dnr != nil {
-				delta.addSegments(dnr.Segments)
-			}
+		switch dnr := donor.NetRoutes[id]; {
+		case dnr == nil:
+		case dirty[id]:
+			delta.addSegments(dnr.Segments)
+		default:
+			replayable++
 		}
 	}
+	records := make([]NetRoute, replayable)
 
 	for _, oi := range geo.Order {
 		id := geo.NetIDs[oi]
 		dnr := donor.NetRoutes[id]
 		clean := !dirty[id] && dnr != nil
 		if clean && !r.touchesDelta(delta, oi) {
-			r.replay(int(id), dnr)
+			r.replay(&records[st.Replayed], int(id), dnr)
 			st.Replayed++
 			continue
 		}
@@ -275,17 +292,13 @@ func maxI64(a, b int64) int64 {
 	return b
 }
 
-// replay commits a donor net route verbatim: usage is booked along every
-// segment exactly as commit would, and the route record is copied. The
-// donor's segment slice is shared (donor results are immutable; a later
-// rip-up of this net replaces the NetRoute rather than mutating segments),
-// while LenByMetal is copied because uncommit zeroes it in place.
-func (r *router) replay(id int, dnr *NetRoute) {
-	nr := &NetRoute{
-		Net:        r.l.Netlist.Nets[id],
-		Segments:   dnr.Segments,
-		LenByMetal: append([]int64(nil), dnr.LenByMetal...),
-	}
+// replay commits a donor net route verbatim into the record nr: usage is
+// booked along every segment exactly as commit would. The record shares
+// the donor's Segments and LenByMetal — donor results are immutable, and a
+// rip-up of this net releases its usage and replaces the record without
+// writing to either slice (see uncommit).
+func (r *router) replay(nr *NetRoute, id int, dnr *NetRoute) {
+	*nr = NetRoute{Net: r.l.Netlist.Nets[id], Segments: dnr.Segments, LenByMetal: dnr.LenByMetal}
 	r.book(nr.Segments)
 	r.res.NetRoutes[id] = nr
 }

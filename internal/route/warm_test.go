@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -115,6 +116,19 @@ func sameResults(t *testing.T, label string, got, want *Result) {
 	if got.Grid != want.Grid {
 		t.Fatalf("%s: grids differ", label)
 	}
+	if got.Core != want.Core {
+		t.Fatalf("%s: core %v != %v", label, got.Core, want.Core)
+	}
+	if len(got.Cap) != len(want.Cap) {
+		t.Fatalf("%s: %d capacity layers, want %d", label, len(got.Cap), len(want.Cap))
+	}
+	for li := range want.Cap {
+		for i := range want.Cap[li] {
+			if math.Float64bits(got.Cap[li][i]) != math.Float64bits(want.Cap[li][i]) {
+				t.Fatalf("%s: cap[%d][%d] %g != %g", label, li, i, got.Cap[li][i], want.Cap[li][i])
+			}
+		}
+	}
 	for id := range want.NetRoutes {
 		g, w := got.NetRoutes[id], want.NetRoutes[id]
 		if (g == nil) != (w == nil) {
@@ -194,7 +208,8 @@ func TestWarmMatchesColdChain(t *testing.T) {
 
 // TestWarmPreconditions checks that Warm declines (returning a nil result,
 // signalling cold fallback) whenever the donor cannot prove equivalence:
-// NDR mismatch, rip-up victims in the donor, or a missing donor.
+// NDR mismatch, rip-up victims in the donor, a missing donor, an equal grid
+// over a different core, or a different library.
 func TestWarmPreconditions(t *testing.T) {
 	l := placedMesh(t, 4, 10, 0.5)
 	opt := Options{Seed: 1}
@@ -223,9 +238,31 @@ func TestWarmPreconditions(t *testing.T) {
 	}
 	l.NDR.Scale[0] /= 1.5
 
+	noLib := *donor
+	noLib.lib = nil
+	if res, st, err := Warm(l, opt, geo, &noLib, dirty); err != nil || res != nil || st.Decline != "library" {
+		t.Errorf("library mismatch: got (%v, %q, %v), want a library decline", res, st.Decline, err)
+	}
+
+	// Same netlist, same GCell grid (16 columns of 10 sites), but one
+	// site fewer per row: boundary GCells' capacity is clipped to a
+	// different core, so the donor's capacity must not be taken over.
+	wide, narrow := placedLocalMesh(t, 2, 20, 6, 160), placedLocalMesh(t, 2, 20, 6, 159)
+	wideRes, err := Route(wide, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wideRes.Grid != buildGrid(narrow, opt.withDefaults()) || wideRes.Core == narrow.CoreRect() {
+		t.Fatal("fixture: grids should match and cores differ")
+	}
+	res, st, err := Warm(narrow, opt, BuildGeometry(narrow), wideRes, make([]bool, len(narrow.Netlist.Nets)))
+	if err != nil || res != nil || st.Decline != "core" {
+		t.Errorf("core mismatch: got (%v, %q, %v), want a core decline", res, st.Decline, err)
+	}
+
 	// With matching state and an all-clean mask, warm must replay all
 	// routed nets and reproduce the donor exactly.
-	res, st, err := Warm(l, opt, geo, donor, dirty)
+	res, st, err = Warm(l, opt, geo, donor, dirty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,4 +273,32 @@ func TestWarmPreconditions(t *testing.T) {
 		t.Errorf("identity warm start rerouted nets: %+v", st)
 	}
 	sameResults(t, "identity", res, donor)
+}
+
+// TestWarmReplayAllocsPerNet pins replay to allocate nothing per net: an
+// all-clean warm start replays every routed net, and a mesh with four
+// times the nets costs the same number of allocations.
+func TestWarmReplayAllocsPerNet(t *testing.T) {
+	opt := Options{Seed: 1}
+	allocs := func(l *layout.Layout) (float64, int) {
+		donor, err := Route(l, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		geo := BuildGeometry(l)
+		dirty := make([]bool, len(l.Netlist.Nets))
+		_, st, err := Warm(l, opt, geo, donor, dirty)
+		if err != nil || st.Decline != "" || st.Rerouted != 0 {
+			t.Fatalf("identity warm start: %+v, %v", st, err)
+		}
+		return testing.AllocsPerRun(10, func() { Warm(l, opt, geo, donor, dirty) }), st.Replayed
+	}
+	small, nSmall := allocs(placedLocalMesh(t, 4, 30, 20, 160))
+	large, nLarge := allocs(placedLocalMesh(t, 8, 60, 40, 160))
+	if nLarge < 2*nSmall {
+		t.Fatalf("fixture: %d vs %d replayed nets", nLarge, nSmall)
+	}
+	if large != small {
+		t.Errorf("Warm allocations: %v replaying %d nets, %v replaying %d", small, nSmall, large, nLarge)
+	}
 }
