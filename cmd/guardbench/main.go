@@ -60,8 +60,8 @@ type DesignBench struct {
 	Stages          map[string]StageLatency `json:"stages"`
 	// Delta reports what the exploration's cross-chromosome delta
 	// evaluation reused: operator stage skips (memo/arena hits), LDA
-	// iteration extensions, warm vs cold routes and per-net reroute
-	// counts. Informational — compare never flags these as regressions.
+	// iteration extensions and routed-net counts. Informational — compare
+	// never flags these as regressions.
 	Delta gdsiiguard.DeltaStats `json:"delta"`
 }
 
@@ -157,10 +157,10 @@ func main() {
 			os.Exit(1)
 		}
 		rep.Designs = append(rep.Designs, *db)
-		fmt.Printf("%-16s baseline %6.2fs  harden %6.2fs  explore %7.2fs (%d evals, front %d, op reuse %d, warm routes %d)\n",
+		fmt.Printf("%-16s baseline %6.2fs  harden %6.2fs  explore %7.2fs (%d evals, front %d, op reuse %d)\n",
 			name, db.BaselineSeconds, db.HardenSeconds, db.ExploreSeconds,
 			db.Evaluations, db.FrontSize,
-			db.Delta.OpMemoHits+db.Delta.OpArenaHits, db.Delta.RoutesWarm)
+			db.Delta.OpMemoHits+db.Delta.OpArenaHits)
 	}
 	if *soc != "" && !*short {
 		for _, name := range strings.Split(*soc, ",") {

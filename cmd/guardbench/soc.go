@@ -34,8 +34,8 @@ type SoCStage struct {
 // set of cell relocations inside one logic tile — evaluated strictly as a
 // delta: warm-started routing replays every untouched net from the
 // baseline donor and delta STA re-propagates only the changed-net cones,
-// never the whole graph (HardenDelta records the proof: sta_delta > 0,
-// sta_full == 0, and cone sizes that are tile-bounded, not design-bounded).
+// never the whole graph (HardenDelta records the replay split and the cone
+// sizes, which are tile-bounded, not design-bounded).
 type SoCBench struct {
 	Design   string `json:"design"`
 	Cells    int    `json:"cells"`
@@ -46,11 +46,25 @@ type SoCBench struct {
 	MassWorkers int                 `json:"mass_workers"`
 	MassSpeedup float64             `json:"mass_speedup"`
 	Stages      map[string]SoCStage `json:"stages"`
-	// HardenDelta is what the harden_eco delta evaluation reused: warm vs
-	// cold routes, per-net replay counts, and delta vs full STA runs with
-	// their cone sizes. Informational for -compare (never gated), but
-	// benchSoC itself fails if the harden fell back to a whole-graph STA.
-	HardenDelta *core.DeltaStats `json:"harden_delta,omitempty"`
+	// HardenDelta is what the harden_eco delta evaluation reused.
+	// Informational for -compare (never gated); benchSoC itself fails if
+	// the ECO fell back to a cold route or a whole-graph STA.
+	HardenDelta *ECODelta `json:"harden_delta,omitempty"`
+}
+
+// ECODelta reports the tile ECO's route.WarmStats and sta.DeltaStats
+// counts.
+type ECODelta struct {
+	// NetsReplayed, NetsRerouted and NetsPromoted are the warm route's
+	// Replayed, Rerouted and Promoted counts.
+	NetsReplayed int `json:"nets_replayed"`
+	NetsRerouted int `json:"nets_rerouted"`
+	NetsPromoted int `json:"nets_promoted"`
+	// StaChangedNets, StaConeInsts and StaConeNets are the delta STA's
+	// ChangedNets, ConeInsts and ConeNets counts.
+	StaChangedNets int `json:"sta_changed_nets"`
+	StaConeInsts   int `json:"sta_cone_insts"`
+	StaConeNets    int `json:"sta_cone_nets"`
 }
 
 // socThreshER is the exploitable-region threshold used for the mass stages;
@@ -279,31 +293,22 @@ func socTileECO(d *benchdesigns.SoCDesign, base *core.Baseline, sb *SoCBench) er
 	if wres == nil {
 		return fmt.Errorf("warm route declined (%s): baseline is not a zero-victim donor", wst.Decline)
 	}
-	// The STA change mask is the warm route's ChangedNets plus the dirty
-	// nets themselves — a moved cell shifts a net's HPWL-estimated RC even
-	// when its route record is nil in both runs.
-	changed := wst.ChangedNets
-	for id, dt := range dirty {
-		if dt {
-			changed[id] = true
-		}
-	}
 	tres, tds, err := sta.AnalyzeDelta(l,
 		sta.Options{Constraints: base.Config.Constraints, Routes: wres},
-		base.Timing, changed)
+		base.Timing, wst.ChangedNets)
 	if err != nil {
 		return fmt.Errorf("delta STA: %w", err)
 	}
 	if tres == nil {
 		return fmt.Errorf("delta STA declined: baseline timing carries no reusable graph")
 	}
-	sb.HardenDelta = &core.DeltaStats{
-		RoutesWarm:   1,
-		NetsReplayed: wst.Replayed,
-		NetsRerouted: wst.Rerouted,
-		StaDelta:     1,
-		StaConeInsts: tds.ConeInsts,
-		StaConeNets:  tds.ConeNets,
+	sb.HardenDelta = &ECODelta{
+		NetsReplayed:   wst.Replayed,
+		NetsRerouted:   wst.Rerouted,
+		NetsPromoted:   wst.Promoted,
+		StaChangedNets: tds.ChangedNets,
+		StaConeInsts:   tds.ConeInsts,
+		StaConeNets:    tds.ConeNets,
 	}
 	return nil
 }

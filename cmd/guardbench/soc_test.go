@@ -44,11 +44,11 @@ func TestSoCHardenSmoke(t *testing.T) {
 	}
 	// benchSoCPipeline already fails if the ECO pass fell back to a full
 	// STA; assert the positive side too — cones were actually propagated.
-	if sb.HardenDelta.StaDelta == 0 || sb.HardenDelta.StaConeInsts == 0 {
+	if sb.HardenDelta.StaChangedNets == 0 || sb.HardenDelta.StaConeInsts == 0 {
 		t.Errorf("delta STA did no cone work: %+v", *sb.HardenDelta)
 	}
-	if sb.HardenDelta.RoutesWarm == 0 {
-		t.Errorf("harden ECO never warm-started routing: %+v", *sb.HardenDelta)
+	if sb.HardenDelta.NetsReplayed == 0 {
+		t.Errorf("harden ECO warm route replayed no nets: %+v", *sb.HardenDelta)
 	}
 	t.Logf("smoke SoC: %d cells, gds %s, delta %+v", sb.Cells, fmtBytes(sb.GDSBytes), *sb.HardenDelta)
 }

@@ -280,8 +280,8 @@ type IslandDegradation struct {
 
 // DeltaStats reports what the exploration's cross-chromosome delta
 // evaluation reused versus recomputed: child chromosomes are evaluated
-// relative to previously evaluated relatives (shared operator placements,
-// warm-started routes) rather than from the baseline, with bit-identical
+// relative to previously evaluated relatives (shared operator placements
+// and route geometry) rather than from the baseline, with bit-identical
 // results. All counters are totals across the exploration's evaluations;
 // see core.DeltaStats for the fields.
 type DeltaStats = core.DeltaStats

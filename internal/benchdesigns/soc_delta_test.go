@@ -119,19 +119,13 @@ func TestSoCTileDeltaMatchesFull(t *testing.T) {
 	if wres == nil {
 		t.Fatalf("warm route declined (%s)", wst.Decline)
 	}
-	changed := wst.ChangedNets
-	for id, dt := range dirty {
-		if dt {
-			changed[id] = true
-		}
-	}
 
 	opt.Routes = wres
 	full, err := sta.AnalyzeWithGraph(l, opt, donor.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, ds, err := sta.AnalyzeDelta(l, opt, donor, changed)
+	delta, ds, err := sta.AnalyzeDelta(l, opt, donor, wst.ChangedNets)
 	if err != nil {
 		t.Fatal(err)
 	}

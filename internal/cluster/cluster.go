@@ -120,7 +120,7 @@ type IslandResult struct {
 	// Failures are the epoch's degraded evaluations (typed stage/class).
 	Failures []nsga2.EvalFailure `json:"failures,omitempty"`
 	// Delta aggregates the epoch's delta-evaluation reuse counters
-	// (operator memo/arena hits, warm-started routes) across the island's
+	// (operator memo/arena hits, routed nets) across the island's
 	// evaluator arenas.
 	Delta core.DeltaStats `json:"delta"`
 	// GenSeconds is the mean per-generation wall time of this epoch, the

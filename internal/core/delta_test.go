@@ -34,9 +34,9 @@ func mutateOneGene(p Params, rng *rand.Rand) Params {
 
 // TestDeltaChainMatchesScratch is the delta path's equivalence gate: a
 // chain of single-gene parent→child mutations evaluated incrementally on
-// a delta arena (operator memo, geometry reuse, warm-started routes) must
-// be bit-identical, link by link, to from-scratch evaluation of the same
-// chromosomes — and the chain must actually exercise the reuse paths.
+// a delta arena (operator memo, geometry reuse) must be bit-identical,
+// link by link, to from-scratch evaluation of the same chromosomes — and
+// the chain must actually exercise operator reuse.
 func TestDeltaChainMatchesScratch(t *testing.T) {
 	l := buildDesign(t, 6, 5, 0.5, 3)
 	base, err := EvalBaseline(l, flowConfig(5))
@@ -73,12 +73,6 @@ func TestDeltaChainMatchesScratch(t *testing.T) {
 	t.Logf("delta stats: %+v", st)
 	if st.OpMemoHits+st.OpArenaHits+st.OpIterSteps == 0 {
 		t.Error("chain exercised no operator reuse at all")
-	}
-	if st.RoutesWarm == 0 {
-		t.Error("chain exercised no warm-started route")
-	}
-	if st.NetsReplayed == 0 {
-		t.Error("warm-started routes replayed no nets")
 	}
 	if err := base.Layout.Validate(); err != nil {
 		t.Fatalf("baseline corrupted: %v", err)

@@ -36,8 +36,8 @@ type entryPoint struct {
 
 // entryPoints covers the three ways a chromosome reaches the pipeline: a
 // fresh clone, a plain arena, and a delta arena on its second evaluation,
-// when a warm-start donor exists and the route and timing stages take the
-// route.Warm / sta.AnalyzeDelta path.
+// when the arena already holds the operator placement and the route stage
+// reads the memoized geometry.
 var entryPoints = []entryPoint{
 	{"Run", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
 		return func(p Params) (*Result, error) { return Run(base, p) }
@@ -50,8 +50,11 @@ var entryPoints = []entryPoint{
 		if _, err := s.Run(p); err != nil {
 			t.Fatal(err)
 		}
-		if base.Memo().donor(p.ScaleKey()) == nil {
-			t.Fatal("first delta evaluation left no warm-start donor")
+		if s.Lineage() != p.OpKey() {
+			t.Fatalf("first delta evaluation left lineage %q, want %q", s.Lineage(), p.OpKey())
+		}
+		if base.Memo().geos[p.OpKey()] == nil {
+			t.Fatal("first delta evaluation memoized no route geometry")
 		}
 		return s.Run
 	}},

@@ -274,33 +274,31 @@ func runOperator(l *layout.Layout, base *Baseline, p Params, from int, acc LDARe
 // and classified, and ctx is observed between stages. ref is the baseline
 // the metrics are normalized against; nil evaluates the baseline itself
 // (Security is 1.0 by construction and the timing analysis levelizes the
-// graph). d is the delta arena whose stage memo the route and timing
-// stages may reuse; nil routes cold and analyzes the whole graph. The
-// result's Metrics.Runtime is the wall time of the evaluation itself (run
-// widens it to the whole flow).
+// graph). d is the delta arena whose memoized route geometry the route
+// stage reuses; nil builds the geometry afresh. The result's
+// Metrics.Runtime is the wall time of the evaluation itself (run widens it
+// to the whole flow).
 func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, res *Result) (err error) {
 	start := time.Now()
 	end := beginEval()
 	defer func() { end(err) }()
 	var (
-		routes  *route.Result
-		donor   *sta.Result
-		changed []bool
-		timing  *sta.Result
-		pw      power.Result
-		assess  *security.Assessment
-		checks  drc.Result
+		routes *route.Result
+		timing *sta.Result
+		pw     power.Result
+		assess *security.Assessment
+		checks drc.Result
 	)
 	stages := []struct {
 		stage Stage
 		f     func() (err error)
 	}{
 		{StageRoute, func() (err error) {
-			routes, donor, changed, err = routeStage(l, cfg, d)
+			routes, err = routeStage(l, cfg, d)
 			return err
 		}},
 		{StageTiming, func() (err error) {
-			timing, err = timingStage(l, cfg, ref, d, routes, donor, changed)
+			timing, err = timingStage(l, cfg, ref, routes)
 			return err
 		}},
 		{StagePower, func() (err error) {
@@ -324,13 +322,6 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 			return err
 		}
 	}
-	// A clean result becomes the donor for its scale key — including the
-	// very first route of a fresh scale, so later chromosomes sharing it
-	// warm-start even across islands and workers.
-	if d != nil && routes.Victims == 0 {
-		d.memo.putDonor(scaleKey(routes.NDRScale), d.curOpKey, d.curDiff, routes, timing)
-	}
-
 	score := 1.0
 	if ref != nil {
 		score = security.Score(assess, ref.Assessment, cfg.Alpha)
@@ -355,23 +346,15 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 }
 
 // routeStage routes l under its installed NDR. Without a delta arena it
-// builds the placement geometry and routes cold. A delta arena reuses the
-// memoized geometry of its operator placement and first tries a warm start
-// (Scratch.warmRoute), which also hands the timing stage its donor timing
-// and change mask; a declined warm start routes cold. Both paths are
-// bit-identical to routing from scratch.
-func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch) (routes *route.Result, donor *sta.Result, changed []bool, err error) {
-	var geo *route.Geometry
+// builds the placement geometry; a delta arena reuses the memoized
+// geometry of its operator placement and counts the routed nets.
+func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch) (*route.Result, error) {
 	if d == nil {
-		geo = route.BuildGeometry(l)
-	} else {
-		geo = d.memo.geometry(d.curOpKey, l)
-		if routes, donor, changed, err = d.warmRoute(l, cfg, geo); routes != nil || err != nil {
-			return routes, donor, changed, err
-		}
+		return route.RouteWithGeometry(l, cfg.RouteOpts, route.BuildGeometry(l))
 	}
-	if routes, err = route.RouteWithGeometry(l, cfg.RouteOpts, geo); err != nil || d == nil {
-		return routes, nil, nil, err
+	routes, err := route.RouteWithGeometry(l, cfg.RouteOpts, d.memo.geometry(d.curOpKey, l))
+	if err != nil {
+		return nil, err
 	}
 	routed := 0
 	for _, nr := range routes.NetRoutes {
@@ -379,45 +362,19 @@ func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch) (routes *route.Res
 			routed++
 		}
 	}
-	d.stats.RoutesCold++
 	d.stats.NetsRerouted += routed
-	deltaRoutes.With("cold").Inc()
-	deltaNets.With("rerouted").Add(float64(routed))
-	return routes, nil, nil, nil
+	deltaNets.Add(float64(routed))
+	return routes, nil
 }
 
-// timingStage analyzes the routed layout. After a warm route it
-// re-propagates only the cones of the changed nets on top of the donor's
-// timing (sta.AnalyzeDelta); otherwise, or when the donor is incompatible,
-// it analyzes the whole graph, reusing the baseline's levelization when
-// there is a reference baseline.
-func timingStage(l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, routes *route.Result, donor *sta.Result, changed []bool) (*sta.Result, error) {
-	opts := sta.Options{Constraints: cfg.Constraints, Routes: routes}
-	if donor != nil && changed != nil {
-		tres, tds, err := sta.AnalyzeDelta(l, opts, donor, changed)
-		if err != nil {
-			return nil, err
-		}
-		if tres != nil {
-			d.stats.StaDelta++
-			d.stats.StaConeInsts += tds.ConeInsts
-			d.stats.StaConeNets += tds.ConeNets
-			deltaSTA.With("delta").Inc()
-			staConeInsts.Add(float64(tds.ConeInsts))
-			staConeNets.Add(float64(tds.ConeNets))
-			return tres, nil
-		}
-	}
+// timingStage analyzes the routed layout over the whole graph, reusing the
+// baseline's levelization when there is a reference baseline.
+func timingStage(l *layout.Layout, cfg FlowConfig, ref *Baseline, routes *route.Result) (*sta.Result, error) {
 	var graph *sta.Graph
 	if ref != nil {
 		graph = ref.TimingGraph()
 	}
-	timing, err := sta.AnalyzeWithGraph(l, opts, graph)
-	if err == nil && d != nil {
-		d.stats.StaFull++
-		deltaSTA.With("full").Inc()
-	}
-	return timing, err
+	return sta.AnalyzeWithGraph(l, sta.Options{Constraints: cfg.Constraints, Routes: routes}, graph)
 }
 
 // pinCritical temporarily marks cells with slack below marginPS as Fixed;

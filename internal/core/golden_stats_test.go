@@ -10,23 +10,17 @@ func statsDiff(after, before DeltaStats) DeltaStats {
 		OpArenaHits:  after.OpArenaHits - before.OpArenaHits,
 		OpIterSteps:  after.OpIterSteps - before.OpIterSteps,
 		RoutesWarm:   after.RoutesWarm - before.RoutesWarm,
-		RoutesCold:   after.RoutesCold - before.RoutesCold,
-		NetsReplayed: after.NetsReplayed - before.NetsReplayed,
 		NetsRerouted: after.NetsRerouted - before.NetsRerouted,
-		StaFull:      after.StaFull - before.StaFull,
-		StaDelta:     after.StaDelta - before.StaDelta,
-		StaConeInsts: after.StaConeInsts - before.StaConeInsts,
-		StaConeNets:  after.StaConeNets - before.StaConeNets,
 	}
 }
 
 // TestScratchStatsGolden pins the exact per-evaluation DeltaStats of a
 // fixed parameter sequence on a delta arena. Exploration logs and the
 // benchmark's replay check sum these counts, so every reuse decision —
-// operator run vs memo/prefix/arena hit, LDA steps on a reused prefix,
-// warm vs cold route and its per-net split, cone vs full timing — must
-// stay exactly as recorded. A plain arena over the same sequence must
-// report no delta activity at all.
+// operator run vs memo/prefix/arena hit, LDA steps on a reused prefix —
+// and the routed-net count must stay exactly as recorded; no route is
+// warm-started. A plain arena over the same sequence must report no delta
+// activity at all.
 func TestScratchStatsGolden(t *testing.T) {
 	l := buildDesign(t, 12, 8, 0.6, 5)
 	base, err := EvalBaseline(l, flowConfig(0.6))
@@ -49,23 +43,23 @@ func TestScratchStatsGolden(t *testing.T) {
 		want DeltaStats
 	}{
 		{"CS identity", at(CS, 8, 1, nil),
-			DeltaStats{OpRuns: 1, RoutesWarm: 1, NetsReplayed: 25, NetsRerouted: 96, StaDelta: 1, StaConeInsts: 40, StaConeNets: 43}},
+			DeltaStats{OpRuns: 1, NetsRerouted: 121}},
 		{"CS repeated, scale change", at(CS, 8, 1, wide),
-			DeltaStats{OpArenaHits: 1, RoutesCold: 1, NetsRerouted: 121, StaFull: 1}},
+			DeltaStats{OpArenaHits: 1, NetsRerouted: 121}},
 		{"LDA 8:1 from the baseline", at(LDA, 8, 1, nil),
-			DeltaStats{OpRuns: 1, RoutesWarm: 1, NetsReplayed: 11, NetsRerouted: 110, StaDelta: 1, StaConeInsts: 64, StaConeNets: 73}},
+			DeltaStats{OpRuns: 1, NetsRerouted: 121}},
 		{"CS memo replay", at(CS, 8, 1, nil),
-			DeltaStats{OpMemoHits: 1, RoutesWarm: 1, NetsReplayed: 11, NetsRerouted: 110, StaDelta: 1, StaConeInsts: 64, StaConeNets: 73}},
+			DeltaStats{OpMemoHits: 1, NetsRerouted: 121}},
 		{"LDA 8:2 resumed from the 8:1 prefix", at(LDA, 8, 2, wide),
-			DeltaStats{OpMemoHits: 1, OpIterSteps: 1, RoutesWarm: 1, NetsReplayed: 17, NetsRerouted: 104, StaDelta: 1, StaConeInsts: 42, StaConeNets: 50}},
+			DeltaStats{OpMemoHits: 1, OpIterSteps: 1, NetsRerouted: 121}},
 		{"LDA 8:3 extended in place", at(LDA, 8, 3, wide),
-			DeltaStats{OpIterSteps: 1, RoutesWarm: 1, NetsReplayed: 121, StaDelta: 1}},
+			DeltaStats{OpIterSteps: 1, NetsRerouted: 121}},
 		{"LDA 8:3 repeated, scale change", at(LDA, 8, 3, map[int]float64{1: 1.5}),
-			DeltaStats{OpArenaHits: 1, RoutesCold: 1, NetsRerouted: 121, StaFull: 1}},
+			DeltaStats{OpArenaHits: 1, NetsRerouted: 121}},
 		{"LDA 8:3 repeated, identity scale", at(LDA, 8, 3, nil),
-			DeltaStats{OpArenaHits: 1, RoutesWarm: 1, NetsReplayed: 11, NetsRerouted: 110, StaDelta: 1, StaConeInsts: 64, StaConeNets: 73}},
+			DeltaStats{OpArenaHits: 1, NetsRerouted: 121}},
 		{"LDA 8:2 memo replay", at(LDA, 8, 2, nil),
-			DeltaStats{OpMemoHits: 1, RoutesWarm: 1, NetsReplayed: 121, StaDelta: 1}},
+			DeltaStats{OpMemoHits: 1, NetsRerouted: 121}},
 	}
 
 	delta := NewScratch(base)

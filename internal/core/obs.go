@@ -44,33 +44,12 @@ var (
 		"gdsiiguard_delta_operator_total",
 		"Operator-stage outcomes of delta evaluations.",
 		"outcome")
-	// deltaRoutes counts route stages warm-started from a donor route vs
-	// routed cold.
-	deltaRoutes = obs.Default().Counter(
-		"gdsiiguard_delta_route_total",
-		"Route stages of delta evaluations by mode: warm or cold.",
-		"mode")
-	// deltaNets counts per-net routing outcomes across delta evaluations.
+	// deltaNets counts the nets routed by delta evaluations; divided by
+	// gdsiiguard_delta_evaluations_total{mode="delta"} it gives the routed
+	// nets per evaluation.
 	deltaNets = obs.Default().Counter(
 		"gdsiiguard_delta_route_nets_total",
-		"Nets replayed from a donor route vs pattern-routed fresh.",
-		"kind")
-	// deltaSTA counts timing stages analyzed over the full graph vs
-	// delta-analyzed over changed-net cones.
-	deltaSTA = obs.Default().Counter(
-		"gdsiiguard_delta_sta_total",
-		"Timing stages of delta evaluations by mode: delta (cone) or full.",
-		"mode")
-	// staConeInsts / staConeNets total delta-STA cone sizes: combinational
-	// instances re-evaluated forward and nets recomputed backward. Read
-	// together with gdsiiguard_delta_sta_total{mode="delta"}, they give the
-	// mean cone size per delta analysis.
-	staConeInsts = obs.Default().Counter(
-		"gdsiiguard_delta_sta_cone_insts_total",
-		"Combinational instances re-evaluated across delta STA runs.").With()
-	staConeNets = obs.Default().Counter(
-		"gdsiiguard_delta_sta_cone_nets_total",
-		"Net required times recomputed across delta STA runs.").With()
+		"Nets routed by delta evaluations.").With()
 )
 
 // EvalsInflightGauge exposes the evaluation-occupancy gauge so callers

@@ -171,13 +171,7 @@ func ParseLDAOpKey(key string) (gridN, iters int, ok bool) {
 // when their ScaleKeys match exactly: the NDR scale multiplies every
 // track-usage commit, so any difference changes congestion globally.
 func (p Params) ScaleKey() string {
-	return scaleKey(p.ScaleM)
-}
-
-// scaleKey formats an NDR scale vector as a ScaleKey; the stage memo keys
-// its warm-start donors by it.
-func scaleKey(scale []float64) string {
-	return fmt.Sprintf("%v", scale)
+	return fmt.Sprintf("%v", p.ScaleM)
 }
 
 // SpaceSize returns |D| for a K-layer process: CS contributes 3^K

@@ -38,15 +38,14 @@ type Scratch struct {
 
 	// Arena lineage: the post-operator state currently materialized in l.
 	// haveCur means the journal up to opMark reproduces curOpKey's
-	// placement (curDiff against the baseline, curCS/curLDA telemetry), so
-	// an evaluation with the same operator genes rolls back only past the
-	// route/evaluate mutations and skips the operator stage entirely, and
-	// a longer LDA chain extends in place. Cleared on any rewind to the
-	// baseline; an errored evaluation leaves it intact only if the
-	// operator stage completed (the state is still the committed one).
+	// placement (with its curCS/curLDA telemetry), so an evaluation with
+	// the same operator genes rolls back only past the route/evaluate
+	// mutations and skips the operator stage entirely, and a longer LDA
+	// chain extends in place. Cleared on any rewind to the baseline; an
+	// errored evaluation leaves it intact only if the operator stage
+	// completed (the state is still the committed one).
 	haveCur  bool
 	curOpKey string
-	curDiff  []layout.InstMove
 	curCS    CellShiftResult
 	curLDA   LDAResult
 	opMark   int
@@ -55,8 +54,8 @@ type Scratch struct {
 }
 
 // NewScratch builds a delta-evaluating arena over the baseline: operator
-// placements, route geometry and warm-start donors are shared through the
-// baseline's StageMemo. The baseline layout itself is never modified.
+// placements and route geometry are shared through the baseline's
+// StageMemo. The baseline layout itself is never modified.
 func NewScratch(base *Baseline) *Scratch {
 	s := newScratch(base)
 	s.memo = base.Memo()

@@ -3,6 +3,8 @@ package nsga2
 import (
 	"reflect"
 	"testing"
+
+	"gdsiiguard/internal/core"
 )
 
 // TestDeltaMatchesPlainRun is the optimizer-level golden gate for delta
@@ -37,7 +39,7 @@ func TestDeltaMatchesPlainRun(t *testing.T) {
 	if st.OpMemoHits+st.OpArenaHits+st.OpIterSteps == 0 {
 		t.Error("delta run exercised no operator reuse")
 	}
-	if z := plain.Delta; z.OpRuns+z.OpMemoHits+z.OpArenaHits+z.RoutesWarm != 0 {
+	if z := plain.Delta; z != (core.DeltaStats{}) {
 		t.Errorf("DisableDelta run reported delta activity: %+v", z)
 	}
 }

@@ -173,8 +173,8 @@ type RunLog struct {
 	// so selection pressure carries across epochs.
 	Final []Individual
 	// Delta aggregates what delta evaluation reused across the run's
-	// arenas — operator memo hits, warm-started routes, replayed nets
-	// (zero when Options.DisableDelta is set).
+	// arenas — operator runs, memo and arena hits, routed nets (zero when
+	// Options.DisableDelta is set).
 	Delta core.DeltaStats
 }
 

@@ -8,20 +8,13 @@ var routeSeconds = obs.Default().Histogram(
 	"gdsiiguard_route_seconds",
 	"Global-route wall time per Route call.", nil).With()
 
-// warmDeclineTotal counts warm-start declines by reason, so a
-// routes_warm: 0 on a real design is diagnosable from /metrics: no_donor
-// (no compatible donor route cached), dirty_frac (too many dirty nets to be
-// worth replaying), victims (donor was reshaped by rip-up), netlist (net
-// count mismatch), ndr (NDR scale mismatch), grid (GCell grid mismatch),
-// core (equal grid over a different core), library (donor routed over a
-// different library), layers (fewer than 2 routing layers).
+// warmDeclineTotal counts warm-start declines by reason, so a declined
+// warm start is diagnosable from /metrics: no_donor (no donor route given),
+// victims (donor was reshaped by rip-up), netlist (net count mismatch), ndr
+// (NDR scale mismatch), grid (GCell grid mismatch), core (equal grid over a
+// different core), library (donor routed over a different library), layers
+// (fewer than 2 routing layers).
 var warmDeclineTotal = obs.Default().Counter(
 	"gdsiiguard_route_warm_decline_total",
 	"Warm-start route declines by reason (the route fell back to a cold run).",
 	"reason")
-
-// CountWarmDecline records a warm-start decline. Warm calls it for every
-// precondition it checks itself; callers that decline before reaching Warm
-// (no donor cached, dirty fraction too high) record their reason through
-// the same counter.
-func CountWarmDecline(reason string) { warmDeclineTotal.With(reason).Inc() }

@@ -17,10 +17,13 @@ type WarmStats struct {
 	Promoted int
 	// ChangedNets (filled only on success) marks every net whose timing
 	// characterization inputs may differ from the donor evaluation's:
-	// its route segments differ, or its route crosses the accumulated
+	// every dirty net (a moved terminal shifts the net's HPWL-estimated RC
+	// even when it has no route in either run), every net whose route
+	// segments differ, and every net whose route crosses the accumulated
 	// change region Δ so the congestion it reads may have moved. Nets
-	// outside this mask provably see identical LenByMetal and identical
-	// usage along their route — delta-STA re-propagates only their cones.
+	// outside this mask provably see identical terminals, LenByMetal and
+	// usage along their route, so it is the complete change mask
+	// sta.AnalyzeDelta needs.
 	ChangedNets []bool
 	// ChangedCount is the number of true entries in ChangedNets.
 	ChangedCount int
@@ -83,7 +86,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 	lib := l.Lib()
 	decline := func(reason string) (*Result, WarmStats, error) {
 		st.Decline = reason
-		CountWarmDecline(reason)
+		warmDeclineTotal.With(reason).Inc()
 		return nil, st, nil
 	}
 	switch {
@@ -191,14 +194,17 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 	res.finalize()
 
 	// Per-net change mask for delta-STA: a net's timing inputs are its
-	// LenByMetal (a function of its segments) and the usage along its
-	// route (NetCongestion). Identical segments + a route that misses Δ
-	// means both are provably identical to the donor evaluation's.
+	// terminal positions, its LenByMetal (a function of its segments) and
+	// the usage along its route (NetCongestion). A clean net with identical
+	// segments and a route that misses Δ provably has all three identical
+	// to the donor evaluation's.
 	st.ChangedNets = make([]bool, len(l.Netlist.Nets))
 	for id := range st.ChangedNets {
 		dnr, nnr := donor.NetRoutes[id], res.NetRoutes[id]
 		changed := false
 		switch {
+		case dirty[id]:
+			changed = true
 		case dnr == nil && nnr == nil:
 		case dnr == nil || nnr == nil:
 			changed = true

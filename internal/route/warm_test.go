@@ -206,6 +206,66 @@ func TestWarmMatchesColdChain(t *testing.T) {
 	}
 }
 
+// TestWarmChangedNetsCoverDirty pins the delta-STA change mask to one
+// rule, kept in Warm: ChangedNets holds every dirty net, and ChangedCount
+// counts exactly its true entries. The dirty set includes a net with no
+// route in either run, so no route comparison can put it in the mask.
+func TestWarmChangedNetsCoverDirty(t *testing.T) {
+	l := placedLocalMesh(t, 8, 60, 40, 160)
+	opt := Options{Seed: 1}
+	donor, err := Route(l, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if donor.Victims != 0 {
+		t.Fatal("fixture routes with rip-up victims; warm start needs a clean donor")
+	}
+	dirty := perturb(t, l, 4, rand.New(rand.NewSource(3)))
+	// Mark an unrouted net dirty, as a caller would after moving a cell
+	// on it; a conservative mark keeps the warm route exact.
+	unrouted := -1
+	for id, nr := range donor.NetRoutes {
+		if nr == nil && !dirty[id] && l.Netlist.Nets[id].NumTerms() > 0 {
+			unrouted = id
+			break
+		}
+	}
+	if unrouted < 0 {
+		t.Fatal("fixture: every net with a terminal has a route")
+	}
+	dirty[unrouted] = true
+
+	geo := BuildGeometry(l)
+	warm, st, err := Warm(l, opt, geo, donor, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm == nil {
+		t.Fatalf("warm start declined (%s)", st.Decline)
+	}
+	if warm.NetRoutes[unrouted] != nil {
+		t.Fatalf("fixture: net %d gained a route", unrouted)
+	}
+	cold, err := RouteWithGeometry(l, opt, geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, "dirty unrouted net", warm, cold)
+
+	marked := 0
+	for id, c := range st.ChangedNets {
+		if dirty[id] && !c {
+			t.Errorf("dirty net %d (%s) missing from ChangedNets", id, l.Netlist.Nets[id].Name)
+		}
+		if c {
+			marked++
+		}
+	}
+	if marked != st.ChangedCount {
+		t.Errorf("ChangedCount = %d, ChangedNets has %d entries", st.ChangedCount, marked)
+	}
+}
+
 // TestWarmPreconditions checks that Warm declines (returning a nil result,
 // signalling cold fallback) whenever the donor cannot prove equivalence:
 // NDR mismatch, rip-up victims in the donor, a missing donor, an equal grid

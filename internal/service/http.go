@@ -267,7 +267,7 @@ type explorationJSON struct {
 	Migrations int                     `json:"migrations,omitempty"`
 	Degraded   []islandDegradationJSON `json:"degraded,omitempty"`
 	// Delta reports cross-chromosome evaluation reuse (operator memo and
-	// arena hits, warm-started routes); see gdsiiguard.DeltaStats.
+	// arena hits, routed nets); see gdsiiguard.DeltaStats.
 	Delta gdsiiguard.DeltaStats `json:"delta"`
 }
 
