@@ -62,3 +62,44 @@ func TestBenchmarkFrontUnchangedByDelta(t *testing.T) {
 		})
 	}
 }
+
+// TestShortExploreWorkGolden pins the work a short exploration does on two
+// real benchmark designs: how many configurations it evaluates, how large
+// its front is, and what cross-chromosome delta evaluation reused. The
+// counts are deterministic at Parallelism 1 and do not depend on the
+// machine's CPU count (with more evaluations in flight, which arena holds
+// an operator placement depends on scheduling, so the memo/arena split
+// would not be). A change that makes the exploration evaluate more, route
+// more nets or reuse less fails here.
+func TestShortExploreWorkGolden(t *testing.T) {
+	golden := []struct {
+		design      string
+		evaluations int
+		front       int
+		delta       DeltaStats
+	}{
+		{"PRESENT", 14, 1, DeltaStats{OpRuns: 3, OpMemoHits: 2, OpArenaHits: 9, NetsRerouted: 7728}},
+		{"openMSP430_1", 15, 1, DeltaStats{OpRuns: 3, OpMemoHits: 2, OpArenaHits: 10, NetsRerouted: 12555}},
+	}
+	for _, g := range golden {
+		t.Run(g.design, func(t *testing.T) {
+			d, err := LoadBenchmark(g.design)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := d.Explore(ExploreOptions{PopSize: 6, Generations: 2, Seed: 1, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Evaluations != g.evaluations {
+				t.Errorf("evaluations = %d, want %d", ex.Evaluations, g.evaluations)
+			}
+			if len(ex.Front) != g.front {
+				t.Errorf("front size = %d, want %d", len(ex.Front), g.front)
+			}
+			if ex.Delta != g.delta {
+				t.Errorf("delta stats = %+v, want %+v", ex.Delta, g.delta)
+			}
+		})
+	}
+}

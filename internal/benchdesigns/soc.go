@@ -45,10 +45,9 @@ type SoCSpec struct {
 }
 
 // SoCSpecs are the SoC-scale presets: SoC_100k exceeds 10⁵ cells, SoC_1M
-// approaches 10⁶. They are excluded from guardbench -short runs. Both are
-// sized to route first-pass clean (zero rip-up victims): the full-harden
-// stage of the SoC bench evaluates its ECO as a warm-start + delta-STA
-// against the baseline route, and route.Warm requires a victimless donor.
+// approaches 10⁶. Both are sized to route first-pass clean (zero rip-up
+// victims): the SoC tile ECO evaluates as a warm-start + delta-STA against
+// the baseline route, and route.Warm requires a victimless donor.
 var SoCSpecs = []SoCSpec{
 	{Name: "SoC_100k", TilesX: 13, TilesY: 13, ClockDomains: 4, MacroEvery: 13,
 		ChannelRows: 4, ChannelSites: 40, Tile: socTile(201)},

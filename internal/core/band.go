@@ -202,8 +202,8 @@ func layoutRowSource(l *layout.Layout) bandRowSource {
 
 // ExploitableFreeMass computes the operator stage's progress measure — the
 // total weight of empty-site components at or above threshER — honoring the
-// band-worker setting. It is the entry point guardbench uses to compare the
-// sequential and band-parallel paths on SoC-scale layouts.
+// band-worker setting. It is the entry point for comparing the sequential
+// and band-parallel paths on SoC-scale layouts.
 func ExploitableFreeMass(l *layout.Layout, threshER int) int {
 	var e shiftEngine
 	return e.exploitableMass(l, threshER)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gdsiiguard/internal/benchdesigns"
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
 	"gdsiiguard/internal/opencell45"
@@ -155,19 +156,45 @@ func TestCellShiftBandIdentical(t *testing.T) {
 	}
 }
 
-// TestExploitableFreeMassHonorsWorkers: the exported entry must agree with
-// itself across worker settings on a real layout.
+// TestExploitableFreeMass: the exported entry must give the same mass with
+// the band-parallel path forced on as with the sequential path, on a random
+// tall layout and on a stamped SoC (the SoC_100k tile at 3×3 tiles with
+// macros, 147 rows). Each input must resolve to more than one band worker,
+// or the test would compare the sequential path with itself.
 func TestExploitableFreeMass(t *testing.T) {
 	t.Cleanup(func() { SetOperatorBandWorkers(0) })
-	l := randomTallLayout(t, 192, 40, 2000, 11)
-	SetOperatorBandWorkers(1)
-	seq := ExploitableFreeMass(l, 12)
-	SetOperatorBandWorkers(6)
-	par := ExploitableFreeMass(l, 12)
-	if seq != par {
-		t.Errorf("mass differs: seq %d, par %d", seq, par)
+	spec, err := benchdesigns.SoCSpecOf("SoC_100k")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if seq == 0 {
-		t.Error("mass = 0 on a half-empty layout")
+	spec.Name = "SoC_3x3"
+	spec.TilesX, spec.TilesY = 3, 3
+	spec.MacroEvery = 3
+	soc, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name            string
+		l               *layout.Layout
+		workers, thresh int
+	}{
+		{"random_tall", randomTallLayout(t, 192, 40, 2000, 11), 6, 12},
+		{spec.Name, soc.Layout, 4, 20},
+	}
+	for _, c := range cases {
+		SetOperatorBandWorkers(1)
+		seq := ExploitableFreeMass(c.l, c.thresh)
+		SetOperatorBandWorkers(c.workers)
+		if w := ResolvedOperatorBandWorkers(c.l.NumRows); w < 2 {
+			t.Fatalf("%s: %d rows resolve to %d band worker(s); the band path would not run", c.name, c.l.NumRows, w)
+		}
+		par := ExploitableFreeMass(c.l, c.thresh)
+		if seq != par {
+			t.Errorf("%s: mass differs: seq %d, par %d", c.name, seq, par)
+		}
+		if seq == 0 {
+			t.Errorf("%s: mass = 0 on a half-empty layout", c.name)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
 )
 
@@ -73,39 +74,76 @@ func TestBelowIndexIncrementalMatchesScratch(t *testing.T) {
 	}
 }
 
-// --- micro-benchmarks ----------------------------------------------------
+// --- micro-benchmarks and their allocation gates ------------------------
+
+// passRig is a mid-size design with a warm shift engine and an open
+// journal: the operator's hot loop as the pass benchmark and its
+// allocation test drive it.
+type passRig struct {
+	l     *layout.Layout
+	e     shiftEngine
+	moved map[*netlist.Instance]bool
+}
+
+func newPassRig(tb testing.TB) *passRig {
+	r := &passRig{l: buildDesign(tb, 12, 10, 0.6, 5), moved: map[*netlist.Instance]bool{}}
+	r.l.BeginJournal()
+	tb.Cleanup(r.l.EndJournal)
+	r.e.exploitableMass(r.l, 20) // warm the buffers
+	return r
+}
+
+// pass runs one directional pass (right on odd i) and rolls it back
+// through the journal.
+func (r *passRig) pass(i int) {
+	mark := r.l.JournalMark()
+	var res CellShiftResult
+	r.e.passAdded = r.e.passAdded[:0]
+	r.e.pass(r.l, 20, i%2 == 1, &res, r.moved)
+	r.l.RollbackJournal(mark)
+}
+
+// TestCellShiftPassAllocatesNothing: once the engine is warm, a pass in
+// either direction plus its journal rollback allocates nothing.
+func TestCellShiftPassAllocatesNothing(t *testing.T) {
+	r := newPassRig(t)
+	r.pass(0)
+	r.pass(1)
+	i := 0
+	if n := testing.AllocsPerRun(50, func() { r.pass(i); i++ }); n != 0 {
+		t.Errorf("warm pass + rollback: %v allocs/op, want 0", n)
+	}
+}
+
+// TestExploitableMassAllocatesNothing: the whole-layout mass scan on a warm
+// incremental index allocates nothing.
+func TestExploitableMassAllocatesNothing(t *testing.T) {
+	r := newPassRig(t)
+	if n := testing.AllocsPerRun(50, func() { r.e.exploitableMass(r.l, 20) }); n != 0 {
+		t.Errorf("warm exploitableMass: %v allocs/op, want 0", n)
+	}
+}
 
 // BenchmarkCellShiftPass measures one directional pass plus its journal
-// rollback — the operator's hot loop — on a mid-size design. Allocations
-// per op should be near zero once the engine is warm.
+// rollback — the operator's hot loop — on a mid-size design.
+// TestCellShiftPassAllocatesNothing gates its allocations.
 func BenchmarkCellShiftPass(b *testing.B) {
-	l := buildDesign(b, 12, 10, 0.6, 5)
-	var e shiftEngine
-	moved := map[*netlist.Instance]bool{}
-	l.BeginJournal()
-	defer l.EndJournal()
-	e.exploitableMass(l, 20) // warm the buffers
+	r := newPassRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mark := l.JournalMark()
-		var res CellShiftResult
-		e.passAdded = e.passAdded[:0]
-		e.pass(l, 20, i%2 == 1, &res, moved)
-		l.RollbackJournal(mark)
+		r.pass(i)
 	}
 }
 
 // BenchmarkExploitableMass measures the whole-layout mass computation on
 // the warm incremental index.
 func BenchmarkExploitableMass(b *testing.B) {
-	l := buildDesign(b, 12, 10, 0.6, 5)
-	var e shiftEngine
-	e.exploitableMass(l, 20)
+	r := newPassRig(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.exploitableMass(l, 20)
+		r.e.exploitableMass(r.l, 20)
 	}
 }
 

@@ -7,8 +7,7 @@ import (
 )
 
 // Flow-level observability. Every metric lives in the obs default registry
-// and is exposed by cmd/guardd at /metrics and snapshotted by
-// cmd/guardbench.
+// and is exposed by cmd/guardd at /metrics.
 var (
 	// stageSeconds is the per-stage wall-time histogram of the evaluation
 	// hot path (operator, route, timing, power, security, drc).

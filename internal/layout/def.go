@@ -108,6 +108,12 @@ func ReadDEFString(s string, lib *tech.Library) (*Layout, error) {
 	return ReadDEF(strings.NewReader(s), lib)
 }
 
+// maxDEFSites bounds the core a DEF may declare (rows × sites per row).
+// The occupancy grid is allocated up front at 4 bytes a site, so without a
+// bound a few bytes of "DO n" could demand any amount of memory. The
+// largest generated design, SoC_1M, has 2.6·10⁷ sites.
+const maxDEFSites = 1 << 26
+
 type defParser struct {
 	toks []string
 	pos  int
@@ -205,6 +211,9 @@ func (p *defParser) parseRow() error {
 	if err != nil {
 		return err
 	}
+	if n <= 0 || n > maxDEFSites {
+		return fmt.Errorf("def: ROW: %d sites out of range [1, %d]", n, maxDEFSites)
+	}
 	p.skipTo(";")
 	p.rows = append(p.rows, geom.Pt(x, y))
 	p.rowSites = int(n)
@@ -227,7 +236,10 @@ func (p *defParser) parsePins() error {
 		var placed bool
 		var x, y int64
 		for {
-			t := p.next()
+			t, err := p.entryTok("PINS")
+			if err != nil {
+				return err
+			}
 			if t == ";" {
 				break
 			}
@@ -284,7 +296,10 @@ func (p *defParser) parseComponents() error {
 			return fmt.Errorf("def: %w", err)
 		}
 		for {
-			t := p.next()
+			t, err := p.entryTok("COMPONENTS")
+			if err != nil {
+				return err
+			}
 			if t == ";" {
 				break
 			}
@@ -327,7 +342,10 @@ func (p *defParser) parseNets() error {
 			}
 		}
 		for {
-			t := p.next()
+			t, err := p.entryTok("NETS")
+			if err != nil {
+				return err
+			}
 			if t == ";" {
 				break
 			}
@@ -360,8 +378,11 @@ func (p *defParser) parseNets() error {
 }
 
 func (p *defParser) build() (*Layout, error) {
-	if p.nl == nil || len(p.rows) == 0 || p.rowSites == 0 {
+	if p.nl == nil || len(p.rows) == 0 {
 		return nil, fmt.Errorf("def: missing ROW or sections")
+	}
+	if len(p.rows) > maxDEFSites/p.rowSites {
+		return nil, fmt.Errorf("def: core of %d rows × %d sites exceeds %d sites", len(p.rows), p.rowSites, maxDEFSites)
 	}
 	l, err := New(p.nl, len(p.rows), p.rowSites)
 	if err != nil {
@@ -412,6 +433,15 @@ func (p *defParser) next() string {
 }
 
 func (p *defParser) eof() bool { return p.pos >= len(p.toks) }
+
+// entryTok returns the next token of a section entry; an entry cut off by
+// the end of input is an error, not an endless scan for its ';'.
+func (p *defParser) entryTok(section string) (string, error) {
+	if p.eof() {
+		return "", fmt.Errorf("def: %s: entry not terminated by ';'", section)
+	}
+	return p.next(), nil
+}
 
 func (p *defParser) skipTo(tok string) {
 	for !p.eof() && p.next() != tok {

@@ -5,10 +5,9 @@ import (
 	"testing"
 
 	"gdsiiguard/internal/opencell45"
-	"gdsiiguard/internal/verilog"
 )
 
-func placedToy(t *testing.T) *Layout {
+func placedToy(t testing.TB) *Layout {
 	t.Helper()
 	l := toyLayout(t)
 	_ = l.Place(l.Netlist.Instance("u1"), 0, 4)
@@ -77,12 +76,11 @@ func TestDEFContainsSections(t *testing.T) {
 	}
 }
 
-func TestReadDEFErrors(t *testing.T) {
-	lib := opencell45.MustLoad()
-	cases := []struct{ name, src string }{
-		{"empty", ""},
-		{"no rows", "DESIGN d ;\nCOMPONENTS 0 ;\nEND COMPONENTS\nEND DESIGN\n"},
-		{"bad component master", `
+// readDEFErrorCases are inputs ReadDEF must reject.
+var readDEFErrorCases = []struct{ name, src string }{
+	{"empty", ""},
+	{"no rows", "DESIGN d ;\nCOMPONENTS 0 ;\nEND COMPONENTS\nEND DESIGN\n"},
+	{"bad component master", `
 DESIGN d ;
 ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
 COMPONENTS 1 ;
@@ -90,7 +88,7 @@ COMPONENTS 1 ;
 END COMPONENTS
 END DESIGN
 `},
-		{"net with unknown component", `
+	{"net with unknown component", `
 DESIGN d ;
 ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
 NETS 1 ;
@@ -98,7 +96,7 @@ NETS 1 ;
 END NETS
 END DESIGN
 `},
-		{"overlapping placement", `
+	{"overlapping placement", `
 DESIGN d ;
 ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
 COMPONENTS 2 ;
@@ -107,17 +105,24 @@ COMPONENTS 2 ;
 END COMPONENTS
 END DESIGN
 `},
-	}
-	for _, c := range cases {
+	{"unterminated pin", "DESIGN d ;\nROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;\nPINS 1 ;\n- a + DIRECTION INPUT"},
+	{"unterminated component", "DESIGN d ;\nROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;\nCOMPONENTS 1 ;\n- u1 INV_X1 + PLACED ( 0 0 ) N"},
+	{"unterminated net", "DESIGN d ;\nROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;\nNETS 1 ;\n- n1 + USE CLOCK"},
+	{"row too wide", "DESIGN d ;\nROW row_0 s 0 0 N DO 9223372036854775807 BY 1 STEP 190 0 ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n"},
+	{"core too large", "DESIGN d ;\nROW row_0 s 0 0 N DO 67108864 BY 1 STEP 190 0 ;\nROW row_1 s 0 1400 N DO 67108864 BY 1 STEP 190 0 ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n"},
+}
+
+func TestReadDEFErrors(t *testing.T) {
+	lib := opencell45.MustLoad()
+	for _, c := range readDEFErrorCases {
 		if _, err := ReadDEFString(c.src, lib); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
 }
 
-func TestReadDEFUnplacedComponents(t *testing.T) {
-	lib := opencell45.MustLoad()
-	src := `
+// unplacedDEF holds one component without a placement.
+const unplacedDEF = `
 VERSION 5.8 ;
 DESIGN d ;
 UNITS DISTANCE MICRONS 1000 ;
@@ -128,7 +133,10 @@ COMPONENTS 1 ;
 END COMPONENTS
 END DESIGN
 `
-	l, err := ReadDEFString(src, lib)
+
+func TestReadDEFUnplacedComponents(t *testing.T) {
+	lib := opencell45.MustLoad()
+	l, err := ReadDEFString(unplacedDEF, lib)
 	if err != nil {
 		t.Fatalf("ReadDEF: %v", err)
 	}
@@ -137,20 +145,22 @@ END DESIGN
 	}
 }
 
-func TestDEFWithOffsetOrigin(t *testing.T) {
-	lib := opencell45.MustLoad()
-	nl, err := verilog.ParseString(toySrc, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, _ := New(nl, 4, 40)
-	l.Origin = l.SiteDBU(0, 0).Add(l.Origin) // zero; set explicit offset below
+// offsetToy is the toy layout with its core origin away from (0, 0).
+func offsetToy(t testing.TB) *Layout {
+	t.Helper()
+	l := toyLayout(t)
 	l.Origin.X, l.Origin.Y = 950, 2800
+	nl := l.Netlist
 	_ = l.Place(nl.Instance("u1"), 2, 7)
 	_ = l.Place(nl.Instance("u2"), 0, 0)
 	_ = l.Place(nl.Instance("u3"), 1, 1)
 	l.SpreadPorts()
-	l2, err := ReadDEFString(WriteDEFString(l), lib)
+	return l
+}
+
+func TestDEFWithOffsetOrigin(t *testing.T) {
+	l := offsetToy(t)
+	l2, err := ReadDEFString(WriteDEFString(l), opencell45.MustLoad())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,22 +205,38 @@ func TestJournalCoversPlaceOverOwnFootprint(t *testing.T) {
 	samePlacementState(t, l, snap)
 }
 
+// shiftAndRollBack shifts every instance right and back left under the
+// open journal, then rolls the journal back to where it started.
+func shiftAndRollBack(l *Layout) {
+	mark := l.JournalMark()
+	for _, in := range l.Netlist.Insts {
+		_ = l.ShiftRight(in)
+	}
+	for _, in := range l.Netlist.Insts {
+		_ = l.ShiftLeft(in)
+	}
+	l.RollbackJournal(mark)
+}
+
+// TestJournalRollbackAllocatesNothing: once the journal's buffer has grown,
+// recording and rolling back a round of shifts allocates nothing.
+func TestJournalRollbackAllocatesNothing(t *testing.T) {
+	l := gridLayout(t, 16, 200, 300)
+	l.BeginJournal()
+	defer l.EndJournal()
+	if n := testing.AllocsPerRun(20, func() { shiftAndRollBack(l) }); n != 0 {
+		t.Errorf("journal rollback: %v allocs/op, want 0", n)
+	}
+}
+
 func BenchmarkJournalRollback(b *testing.B) {
 	l := gridLayout(b, 16, 200, 300)
 	l.BeginJournal()
 	defer l.EndJournal()
-	insts := l.Netlist.Insts
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mark := l.JournalMark()
-		for _, in := range insts {
-			_ = l.ShiftRight(in)
-		}
-		for _, in := range insts {
-			_ = l.ShiftLeft(in)
-		}
-		l.RollbackJournal(mark)
+		shiftAndRollBack(l)
 	}
 }
 

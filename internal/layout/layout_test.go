@@ -21,7 +21,7 @@ module toy ( in0, in1, clk, out0 );
 endmodule
 `
 
-func toyLayout(t *testing.T) *Layout {
+func toyLayout(t testing.TB) *Layout {
 	t.Helper()
 	lib := opencell45.MustLoad()
 	nl, err := verilog.ParseString(toySrc, lib)

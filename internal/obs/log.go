@@ -8,8 +8,8 @@ import (
 
 // logger is the process-wide structured logger. Library code must stay
 // quiet by default (the optimizer and service run inside tests and other
-// programs), so the default logger discards everything; cmd/guardd and
-// cmd/guardbench install a real handler at startup via SetLogger.
+// programs), so the default logger discards everything; cmd/guardd
+// installs a real handler at startup via SetLogger.
 var logger atomic.Pointer[slog.Logger]
 
 func init() {

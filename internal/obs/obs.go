@@ -5,8 +5,7 @@
 //
 // Instrumented packages register their metrics against the package-level
 // Default registry at init time and record into them on the hot path; the
-// registry is exposed by cmd/guardd at GET /metrics and snapshotted by
-// cmd/guardbench into the benchmark trajectory files. Registration is
+// registry is exposed by cmd/guardd at GET /metrics. Registration is
 // idempotent — asking for an already-registered family with the same shape
 // returns the existing one — so libraries and their tests can share
 // metric variables freely.
