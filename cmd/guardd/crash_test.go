@@ -243,21 +243,6 @@ var crashScenarios = []crashScenario{
 			"pop_size": 6, "generations": 12, "parallelism": 1, "seed": 42,
 		},
 	},
-	{
-		// Killed at a coordinator epoch boundary of a single-binary
-		// cluster: epochs 0-1 checkpointed, the restart resumes at epoch 2
-		// instead of re-running the islands from scratch.
-		name:  "cluster-epoch",
-		point: "cluster.epoch",
-		after: 2,
-		serverArgs: []string{
-			"-workers", "2", "-coordinator", "-local-islands", "2",
-			"-islands", "2", "-migration-interval", "2", "-migration-count", "1",
-		},
-		explore: map[string]any{
-			"pop_size": 4, "generations": 8, "parallelism": 1, "seed": 7,
-		},
-	},
 }
 
 func TestCrashRecovery(t *testing.T) {

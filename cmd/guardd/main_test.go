@@ -15,7 +15,7 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	mgr := service.New(service.Config{Workers: 1, QueueDepth: 4})
 	defer mgr.Shutdown(context.Background())
-	srv := httptest.NewServer(newMux(mgr, false, nil, nil))
+	srv := httptest.NewServer(newMux(mgr, false))
 	defer srv.Close()
 
 	// Run one job so the lifecycle metrics have data.
@@ -67,7 +67,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestPprofOptIn(t *testing.T) {
 	mgr := service.New(service.Config{Workers: 1, QueueDepth: 1})
 	defer mgr.Shutdown(context.Background())
-	srv := httptest.NewServer(newMux(mgr, true, nil, nil))
+	srv := httptest.NewServer(newMux(mgr, true))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/debug/pprof/cmdline")

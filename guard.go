@@ -237,15 +237,6 @@ type ExploreOptions struct {
 	Parallelism int
 	// Seed drives all stochastic choices (default 1).
 	Seed int64
-	// Islands partitions the population into that many island-model
-	// sub-populations with periodic elite migration. Only the
-	// cluster-enabled guardd service honors it (default: the cluster's
-	// configured island count); single-process Explore ignores it.
-	Islands int
-	// MigrationInterval is how many generations an island runs between
-	// elite migrations; MigrationCount how many elites migrate each time.
-	// Cluster mode only, defaults come from the cluster configuration.
-	MigrationInterval, MigrationCount int
 	// Checkpoint, when set, receives an opaque serialized snapshot of the
 	// optimizer state after every completed generation; persisting the
 	// latest blob makes the exploration resumable after a crash. The hook
@@ -264,18 +255,6 @@ type ExploreOptions struct {
 type ParetoPoint struct {
 	Params  FlowParams
 	Metrics Metrics
-}
-
-// IslandDegradation records the loss of one island during a distributed
-// exploration: which island died, on which node, in which migration epoch,
-// and the typed stage/class taxonomy of the failure (see ErrorClass).
-type IslandDegradation struct {
-	Island int
-	Node   string
-	Epoch  int
-	Stage  string
-	Class  string
-	Err    string
 }
 
 // DeltaStats reports what the exploration's cross-chromosome delta
@@ -297,14 +276,6 @@ type Exploration struct {
 	// Failures counts evaluations that failed after retries and were
 	// degraded to infeasible points instead of aborting the exploration.
 	Failures int
-	// Islands and Migrations describe a distributed island-model run: the
-	// island count and the number of elite chromosomes migrated between
-	// islands. Both are zero for single-process explorations.
-	Islands    int
-	Migrations int
-	// Degraded lists islands lost mid-run; their contributions up to the
-	// failing epoch are still merged into Front.
-	Degraded []IslandDegradation
 	// Delta reports cross-chromosome evaluation reuse (see DeltaStats).
 	Delta DeltaStats
 }

@@ -36,9 +36,8 @@ import (
 // tile-local ECOs instead (DESIGN.md §14).
 //
 // The memo hangs off the Baseline (Baseline.Memo), so every consumer that
-// shares a baseline — the nsga2 arena pool, the service design cache, the
-// cluster worker baseline cache — shares the memo automatically, island
-// epochs included. Memory is bounded by construction: the operator gene
+// shares a baseline — the nsga2 arena pool and the service design cache —
+// shares the memo automatically. Memory is bounded by construction: the operator gene
 // space admits at most 16 distinct OpKeys (CS plus 5 grids × 3 iteration
 // counts), so neither map ever exceeds 16 entries.
 

@@ -92,8 +92,8 @@ type Baseline struct {
 
 	// memo is the lazily built cross-chromosome stage cache (see delta.go),
 	// created on first Memo() call. It hangs off the baseline so every
-	// consumer sharing one — nsga2 arena pools, the service design cache,
-	// cluster worker baselines — shares memoized stages automatically.
+	// consumer sharing one — nsga2 arena pools and the service design
+	// cache — shares memoized stages automatically.
 	memoOnce sync.Once
 	memo     *StageMemo
 

@@ -43,14 +43,6 @@ const (
 	// Service fires at the top of the service manager's job executor,
 	// outside the flow's per-stage panic containment.
 	Service Point = "service.execute"
-	// ClusterIsland fires at the top of a cluster worker's island
-	// execution (cluster.Worker.RunIsland), letting tests kill individual
-	// islands of a distributed exploration mid-run.
-	ClusterIsland Point = "cluster.island"
-	// ClusterEpoch fires at the top of every coordinator epoch iteration
-	// (cluster.Driver.Explore), the mid-epoch crash point of the
-	// kill-and-restart harness.
-	ClusterEpoch Point = "cluster.epoch"
 	// DurableAppend fires inside durable.Log.Append, after the record is
 	// encoded but before any byte reaches the WAL.
 	DurableAppend Point = "durable.append"

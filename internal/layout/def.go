@@ -143,8 +143,12 @@ func (p *defParser) parse() (*Layout, error) {
 	for !p.eof() {
 		tok := p.next()
 		switch tok {
-		case "VERSION", "UNITS":
+		case "VERSION":
 			p.skipTo(";")
+		case "UNITS":
+			if err := p.parseUnits(); err != nil {
+				return nil, err
+			}
 		case "DESIGN":
 			design = p.next()
 			p.skipTo(";")
@@ -192,6 +196,26 @@ func (p *defParser) ensureNetlist(design string) {
 	}
 }
 
+// parseUnits checks UNITS DISTANCE MICRONS against the library: rows and
+// components are read in library DBU, so any other scale would misplace
+// every cell.
+func (p *defParser) parseUnits() error {
+	if err := p.mustTok("DISTANCE"); err != nil {
+		return err
+	}
+	if err := p.mustTok("MICRONS"); err != nil {
+		return err
+	}
+	n, err := p.int64Tok()
+	if err != nil {
+		return err
+	}
+	if n != p.lib.DBUPerMicron {
+		return fmt.Errorf("def: UNITS DISTANCE MICRONS %d, library has %d", n, p.lib.DBUPerMicron)
+	}
+	return p.mustTok(";")
+}
+
 func (p *defParser) parseRow() error {
 	p.next() // row name
 	p.next() // site name
@@ -213,6 +237,9 @@ func (p *defParser) parseRow() error {
 	}
 	if n <= 0 || n > maxDEFSites {
 		return fmt.Errorf("def: ROW: %d sites out of range [1, %d]", n, maxDEFSites)
+	}
+	if len(p.rows) > 0 && int(n) != p.rowSites {
+		return fmt.Errorf("def: ROW: %d sites, earlier rows have %d", n, p.rowSites)
 	}
 	p.skipTo(";")
 	p.rows = append(p.rows, geom.Pt(x, y))
@@ -390,11 +417,23 @@ func (p *defParser) build() (*Layout, error) {
 	}
 	l.Origin = p.rows[0]
 	site := p.lib.Site
+	// The layout is a uniform stack of rows: one x, y stepping by the
+	// site height. Rows laid out any other way have no site grid to map
+	// onto.
+	for i, o := range p.rows[1:] {
+		if prev := p.rows[i]; o.X != prev.X || o.Y-prev.Y != site.Height {
+			return nil, fmt.Errorf("def: ROW %d at ( %d %d ) does not stack on row %d at ( %d %d ) by site height %d",
+				i+1, o.X, o.Y, i, prev.X, prev.Y, site.Height)
+		}
+	}
 	for _, j := range p.placeJobs {
 		in := p.nl.Instance(j.inst)
-		row := int((j.y - l.Origin.Y) / site.Height)
-		s := int((j.x - l.Origin.X) / site.Width)
-		if err := l.Place(in, row, s); err != nil {
+		dx, dy := j.x-l.Origin.X, j.y-l.Origin.Y
+		if dx < 0 || dy < 0 || dx%site.Width != 0 || dy%site.Height != 0 {
+			return nil, fmt.Errorf("def: component %s at ( %d %d ) is off the site grid at ( %d %d )",
+				j.inst, j.x, j.y, l.Origin.X, l.Origin.Y)
+		}
+		if err := l.Place(in, int(dy/site.Height), int(dx/site.Width)); err != nil {
 			return nil, fmt.Errorf("def: %w", err)
 		}
 		in.Fixed = j.fixed

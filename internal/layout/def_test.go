@@ -109,6 +109,59 @@ END DESIGN
 	{"unterminated component", "DESIGN d ;\nROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;\nCOMPONENTS 1 ;\n- u1 INV_X1 + PLACED ( 0 0 ) N"},
 	{"unterminated net", "DESIGN d ;\nROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;\nNETS 1 ;\n- n1 + USE CLOCK"},
 	{"row too wide", "DESIGN d ;\nROW row_0 s 0 0 N DO 9223372036854775807 BY 1 STEP 190 0 ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n"},
+	// DEF from other tools that ReadDEF would otherwise misplace.
+	// At 2,000 DBU/µm ( 380 0 ) is site 1; read at the library's 1,000 it
+	// would be site 2.
+	{"units not library DBU", `
+DESIGN d ;
+UNITS DISTANCE MICRONS 2000 ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 380 0 ;
+COMPONENTS 1 ;
+- u1 INV_X1 + PLACED ( 380 0 ) N ;
+END COMPONENTS
+END DESIGN
+`},
+	{"row shifted in x", `
+DESIGN d ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
+ROW row_1 s 190 1400 N DO 10 BY 1 STEP 190 0 ;
+COMPONENTS 0 ;
+END COMPONENTS
+END DESIGN
+`},
+	{"rows two site heights apart", `
+DESIGN d ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
+ROW row_1 s 0 2800 N DO 10 BY 1 STEP 190 0 ;
+COMPONENTS 0 ;
+END COMPONENTS
+END DESIGN
+`},
+	{"rows of different widths", `
+DESIGN d ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
+ROW row_1 s 0 1400 N DO 12 BY 1 STEP 190 0 ;
+COMPONENTS 0 ;
+END COMPONENTS
+END DESIGN
+`},
+	// Truncating division would read both components below as site 0.
+	{"component off the site grid", `
+DESIGN d ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
+COMPONENTS 1 ;
+- u1 INV_X1 + PLACED ( 100 0 ) N ;
+END COMPONENTS
+END DESIGN
+`},
+	{"component below the origin", `
+DESIGN d ;
+ROW row_0 s 0 0 N DO 10 BY 1 STEP 190 0 ;
+COMPONENTS 1 ;
+- u1 INV_X1 + PLACED ( -150 0 ) N ;
+END COMPONENTS
+END DESIGN
+`},
 	{"core too large", "DESIGN d ;\nROW row_0 s 0 0 N DO 67108864 BY 1 STEP 190 0 ;\nROW row_1 s 0 1400 N DO 67108864 BY 1 STEP 190 0 ;\nCOMPONENTS 0 ;\nEND COMPONENTS\n"},
 }
 

@@ -2,6 +2,7 @@ package nsga2
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -29,18 +30,19 @@ func stripRuntime(ins []Individual) []Individual {
 	return out
 }
 
-// runlogFingerprint reduces a RunLog to its deterministic content.
+// runlogFingerprint reduces a RunLog, plus the run's final population, to
+// its deterministic content.
 type runlogFingerprint struct {
 	Front, Evaluations, Final []Individual
 	Generations, CacheHits    int
 	Failures                  []EvalFailure
 }
 
-func fingerprint(log *RunLog) runlogFingerprint {
+func fingerprint(log *RunLog, final []Individual) runlogFingerprint {
 	return runlogFingerprint{
 		Front:       stripRuntime(log.Front),
 		Evaluations: stripRuntime(log.Evaluations),
-		Final:       stripRuntime(log.Final),
+		Final:       stripRuntime(final),
 		Generations: log.Generations,
 		CacheHits:   log.CacheHits,
 		Failures:    log.Failures,
@@ -65,7 +67,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Fatalf("captured %d checkpoints, want %d (one per generation incl. gen 0)",
 			len(cps), golden.Generations+1)
 	}
-	want := fingerprint(golden)
+	want := fingerprint(golden, finalPop(nil, cps))
 
 	for _, cp := range cps {
 		cp := cp
@@ -79,18 +81,28 @@ func TestResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Unmarshal: %v", err)
 			}
-			ropt := opt
+			var rcps []*Checkpoint
+			ropt := withCapture(opt, &rcps)
 			ropt.Resume = restored
 			resumed, err := Optimize(base, ropt)
 			if err != nil {
 				t.Fatalf("resumed Optimize: %v", err)
 			}
-			if got := fingerprint(resumed); !reflect.DeepEqual(got, want) {
+			if got := fingerprint(resumed, finalPop(restored, rcps)); !reflect.DeepEqual(got, want) {
 				t.Errorf("resumed run from generation %d diverged from golden run\n got: %+v\nwant: %+v",
 					cp.Generation, got, want)
 			}
 		})
 	}
+}
+
+// finalPop is a run's final population: the last checkpoint it emitted, or
+// the checkpoint it resumed from when it ran no further generation.
+func finalPop(resume *Checkpoint, cps []*Checkpoint) []Individual {
+	if len(cps) > 0 {
+		return cps[len(cps)-1].Population
+	}
+	return resume.Population
 }
 
 // withCapture clones opt with a Checkpoint hook that collects every
@@ -128,7 +140,7 @@ func TestResumeReproducesPatienceBreak(t *testing.T) {
 		t.Errorf("resumed generations = %d, want %d (the converged run must not continue)",
 			resumed.Generations, golden.Generations)
 	}
-	if !reflect.DeepEqual(fingerprint(resumed), fingerprint(golden)) {
+	if !reflect.DeepEqual(fingerprint(resumed, nil), fingerprint(golden, nil)) {
 		t.Error("resume from a converged checkpoint diverged from the golden run")
 	}
 }
@@ -236,5 +248,35 @@ func TestCountingSourcePreservesStream(t *testing.T) {
 	replayed.skip(wrapped.draws)
 	if a, b := rand.New(wrapped).Int63(), rand.New(replayed).Int63(); a != b {
 		t.Fatalf("skip() landed on a different position: %v vs %v", a, b)
+	}
+}
+
+// TestIndividualSerializationRoundTrip guards the JSON form individuals take
+// in checkpoints and job results: everything a resumed run consumes must
+// survive the round trip.
+func TestIndividualSerializationRoundTrip(t *testing.T) {
+	in := Individual{
+		Params:     core.Params{Op: core.LDA, LDAGridN: 16, LDAIters: 2, ScaleM: []float64{1.2, 1.5, 1.0}},
+		Metrics:    core.Metrics{Security: 0.73, ERSites: 42, ERTracks: 11.5, TNS: -123.25, WNS: -7.5, PowerMW: 3.25, DRC: 2},
+		Feasible:   true,
+		Violation:  0,
+		Generation: 3,
+	}
+	data, err := json.Marshal(in)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	var out Individual
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("unmarshal: %v", err)
+	}
+	if out.Params.Key() != in.Params.Key() {
+		t.Errorf("param key changed: %q -> %q", in.Params.Key(), out.Params.Key())
+	}
+	if out.Objectives() != in.Objectives() {
+		t.Errorf("objectives changed: %v -> %v", in.Objectives(), out.Objectives())
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip changed the individual:\n in: %+v\nout: %+v", in, out)
 	}
 }

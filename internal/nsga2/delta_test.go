@@ -16,18 +16,19 @@ func TestDeltaMatchesPlainRun(t *testing.T) {
 	base := buildBase(t, 5, 20, 5)
 	opt := Options{PopSize: 10, Generations: 5, Patience: 0, Seed: 11, Parallelism: 4}
 
-	plainOpt := opt
+	var plainCps, deltaCps []*Checkpoint
+	plainOpt := withCapture(opt, &plainCps)
 	plainOpt.DisableDelta = true
 	plain, err := Optimize(base, plainOpt)
 	if err != nil {
 		t.Fatalf("plain Optimize: %v", err)
 	}
-	delta, err := Optimize(base, opt)
+	delta, err := Optimize(base, withCapture(opt, &deltaCps))
 	if err != nil {
 		t.Fatalf("delta Optimize: %v", err)
 	}
 
-	if got, want := fingerprint(delta), fingerprint(plain); !reflect.DeepEqual(got, want) {
+	if got, want := fingerprint(delta, finalPop(nil, deltaCps)), fingerprint(plain, finalPop(nil, plainCps)); !reflect.DeepEqual(got, want) {
 		t.Errorf("delta run diverged from from-scratch run\n got: %+v\nwant: %+v", got, want)
 	}
 

@@ -59,12 +59,6 @@ type Options struct {
 	// marked infeasible with maximal constraint violation and recorded in
 	// RunLog.Failures, and the exploration continues.
 	MaxFailureRate float64
-	// SeedPop injects chromosomes into the initial population (island-model
-	// migration and epoch continuation): entries are deduplicated by key and
-	// used in order, ahead of the identity configuration and the random
-	// fill, and truncated at PopSize. Every entry must be admissible for the
-	// baseline's layer count.
-	SeedPop []core.Params
 	// Checkpoint, when set, is invoked synchronously after every completed
 	// generation (including generation 0, the evaluated initial population)
 	// with a self-contained snapshot of the optimizer state. An error
@@ -74,8 +68,7 @@ type Options struct {
 	// Resume continues an interrupted run from a Checkpoint instead of
 	// building an initial population. Seed and PopSize must match the
 	// checkpoint's; the resumed run's trajectory is bit-identical to the
-	// uninterrupted run's. SeedPop is ignored on resume (the checkpointed
-	// population already embodies it).
+	// uninterrupted run's.
 	Resume *Checkpoint
 	// DisableDelta turns off cross-chromosome delta evaluation: every
 	// chromosome runs from scratch on its arena (core.NewScratchPlain)
@@ -168,10 +161,6 @@ type RunLog struct {
 	// Failures records evaluations that failed after retries and degraded
 	// to infeasible individuals instead of aborting the run.
 	Failures []EvalFailure
-	// Final is the population after the last environmental selection. An
-	// island-model driver seeds the next epoch from it (Options.SeedPop),
-	// so selection pressure carries across epochs.
-	Final []Individual
 	// Delta aggregates what delta evaluation reused across the run's
 	// arenas — operator runs, memo and arena hits, routed nets (zero when
 	// Options.DisableDelta is set).
@@ -247,27 +236,11 @@ func OptimizeCtx(ctx context.Context, base *core.Baseline, opt Options) (*RunLog
 			startGen = cp.Generation
 		}
 	} else {
-		// Initial population: injected seed chromosomes (island migration)
-		// first, then the identity configuration, then random points.
-		seen := map[string]bool{}
-		for _, p := range opt.SeedPop {
-			if len(pop) >= opt.PopSize {
-				break
-			}
-			if err := p.Validate(k); err != nil {
-				return nil, fmt.Errorf("nsga2: invalid seed chromosome: %w", err)
-			}
-			if seen[p.Key()] {
-				continue
-			}
-			seen[p.Key()] = true
-			pop = append(pop, &Individual{Params: p.Clone()})
-		}
+		// Initial population: the identity configuration, then random
+		// points.
 		idty := core.DefaultParams(k)
-		if !seen[idty.Key()] && len(pop) < opt.PopSize {
-			pop = append(pop, &Individual{Params: idty})
-			seen[idty.Key()] = true
-		}
+		pop = append(pop, &Individual{Params: idty})
+		seen := map[string]bool{idty.Key(): true}
 		for len(pop) < opt.PopSize {
 			p := core.RandomParams(k, rng)
 			if seen[p.Key()] {
@@ -329,10 +302,6 @@ func OptimizeCtx(ctx context.Context, base *core.Baseline, opt Options) (*RunLog
 	}
 	log.Generations = gen
 	log.Front = paretoFront(log.Evaluations)
-	log.Final = make([]Individual, len(pop))
-	for i, in := range pop {
-		log.Final[i] = *in
-	}
 	// All arenas are back on the free list here (every checkout is paired
 	// with a deferred return), so this sums the whole run's reuse.
 	for _, s := range ev.scratches {

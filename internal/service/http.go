@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -100,14 +102,15 @@ type exploreJSON struct {
 	Generations int   `json:"generations,omitempty"`
 	Parallelism int   `json:"parallelism,omitempty"`
 	Seed        int64 `json:"seed,omitempty"`
-	// Islands, MigrationInterval and MigrationCount shape the island-model
-	// run on a cluster-enabled server; a single-node server ignores them.
-	Islands           int `json:"islands,omitempty"`
-	MigrationInterval int `json:"migration_interval,omitempty"`
-	MigrationCount    int `json:"migration_count,omitempty"`
 }
 
-func (r *submitRequest) toSpec() Spec {
+// maxTimeoutSec is the largest timeout_sec a time.Duration can hold.
+const maxTimeoutSec = float64(math.MaxInt64 / int64(time.Second))
+
+func (r *submitRequest) toSpec() (Spec, error) {
+	if r.TimeoutSec < 0 || r.TimeoutSec > maxTimeoutSec {
+		return Spec{}, fmt.Errorf("service: timeout_sec %g out of range [0, %g]", r.TimeoutSec, maxTimeoutSec)
+	}
 	spec := Spec{
 		Kind:      Kind(r.Kind),
 		Benchmark: r.Benchmark,
@@ -126,16 +129,13 @@ func (r *submitRequest) toSpec() Spec {
 	}
 	if r.Explore != nil {
 		spec.Explore = gdsiiguard.ExploreOptions{
-			PopSize:           r.Explore.PopSize,
-			Generations:       r.Explore.Generations,
-			Parallelism:       r.Explore.Parallelism,
-			Seed:              r.Explore.Seed,
-			Islands:           r.Explore.Islands,
-			MigrationInterval: r.Explore.MigrationInterval,
-			MigrationCount:    r.Explore.MigrationCount,
+			PopSize:     r.Explore.PopSize,
+			Generations: r.Explore.Generations,
+			Parallelism: r.Explore.Parallelism,
+			Seed:        r.Explore.Seed,
 		}
 	}
-	return spec
+	return spec, nil
 }
 
 // maxRequestBody bounds POST bodies; DEF uploads dominate legitimate
@@ -146,24 +146,40 @@ var maxRequestBody int64 = 32 << 20 // 32 MiB
 // retryAfterSeconds is the client back-off hint sent with 503 responses.
 const retryAfterSeconds = "5"
 
-func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
-	// Bound the body before decoding: json.Decoder would otherwise read
-	// an unbounded stream into memory.
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+// decodeSubmit decodes a POST /v1/jobs body into a validated Spec. Unknown
+// fields are rejected, so a client still sending a removed field gets a
+// 400 instead of silently running a different job.
+func decodeSubmit(r io.Reader) (Spec, error) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("service: request body exceeds %d bytes", tooBig.Limit))
-			return
+			return Spec{}, fmt.Errorf("service: request body exceeds %d bytes", tooBig.Limit)
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad request body: %w", err))
+		return Spec{}, fmt.Errorf("service: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("service: bad request body: data after the job object")
+	}
+	spec, err := req.toSpec()
+	if err != nil {
+		return Spec{}, err
+	}
+	return spec, spec.Validate()
+}
+
+func handleSubmit(m *Manager, w http.ResponseWriter, r *http.Request) {
+	// Bound the body before decoding: json.Decoder would otherwise read
+	// an unbounded stream into memory.
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+	spec, err := decodeSubmit(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	_, accepted, err := m.submit(req.toSpec())
+	_, accepted, err := m.submit(spec)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// A full queue is the client's pace problem (429): this instance
@@ -261,23 +277,9 @@ type explorationJSON struct {
 	// Failures counts evaluations that failed and were degraded during
 	// the exploration (see RunLog.Failures).
 	Failures int `json:"failures,omitempty"`
-	// Islands/Migrations/Degraded describe a distributed island-model run
-	// (all empty for single-process explorations).
-	Islands    int                     `json:"islands,omitempty"`
-	Migrations int                     `json:"migrations,omitempty"`
-	Degraded   []islandDegradationJSON `json:"degraded,omitempty"`
 	// Delta reports cross-chromosome evaluation reuse (operator memo and
 	// arena hits, routed nets); see gdsiiguard.DeltaStats.
 	Delta gdsiiguard.DeltaStats `json:"delta"`
-}
-
-type islandDegradationJSON struct {
-	Island int    `json:"island"`
-	Node   string `json:"node,omitempty"`
-	Epoch  int    `json:"epoch"`
-	Stage  string `json:"stage,omitempty"`
-	Class  string `json:"class,omitempty"`
-	Error  string `json:"error,omitempty"`
 }
 
 type attackJSON struct {
@@ -337,20 +339,8 @@ func jobJSON(s Snapshot) jobResponse {
 			Evaluations: res.Exploration.Evaluations,
 			Knee:        res.Exploration.Knee,
 			Failures:    res.Exploration.Failures,
-			Islands:     res.Exploration.Islands,
-			Migrations:  res.Exploration.Migrations,
 			Delta:       res.Exploration.Delta,
 			Front:       []paretoPointJSON{},
-		}
-		for _, d := range res.Exploration.Degraded {
-			ex.Degraded = append(ex.Degraded, islandDegradationJSON{
-				Island: d.Island,
-				Node:   d.Node,
-				Epoch:  d.Epoch,
-				Stage:  d.Stage,
-				Class:  d.Class,
-				Error:  d.Err,
-			})
 		}
 		for _, pt := range res.Exploration.Front {
 			ex.Front = append(ex.Front, paretoPointJSON{

@@ -188,6 +188,51 @@ func TestHTTPErrors(t *testing.T) {
 		"kind": "harden", "benchmark": testBench, "bogus_field": 1,
 	}, http.StatusBadRequest)
 
+	// Explore sizes are bounded at submit. Each row is rejected before a
+	// job exists, so none of them loads a design or starts an evaluation.
+	for _, explore := range []map[string]any{
+		{"pop_size": -1},
+		{"pop_size": 1025},
+		{"generations": -1},
+		{"generations": 4097},
+		{"parallelism": -1},
+		{"parallelism": 1025},
+		{"parallelism": 100000000},
+	} {
+		got := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", map[string]any{
+			"kind": "explore", "benchmark": testBench, "explore": explore,
+		}, http.StatusBadRequest)
+		if msg, _ := got["error"].(string); !strings.HasPrefix(msg, "service: explore ") {
+			t.Errorf("explore %v: error %q, want a service: explore bound error", explore, msg)
+		}
+	}
+	// The island-model request fields are gone: a client still sending
+	// them is refused rather than silently run as a single population.
+	for _, field := range []string{"islands", "migration_interval", "migration_count"} {
+		got := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", map[string]any{
+			"kind": "explore", "benchmark": testBench,
+			"explore": map[string]any{"pop_size": 4, field: 2},
+		}, http.StatusBadRequest)
+		if msg, _ := got["error"].(string); !strings.Contains(msg, `unknown field "`+field+`"`) {
+			t.Errorf("explore.%s: error %q, want an unknown-field error", field, msg)
+		}
+	}
+	// One job object per body: a second value after it is refused, not
+	// silently dropped.
+	resp0, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(
+		`{"kind":"harden","benchmark":"`+testBench+`"} {"kind":"attack"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp0.Body.Close()
+	if resp0.StatusCode != http.StatusBadRequest {
+		t.Errorf("body with trailing data = %d, want %d", resp0.StatusCode, http.StatusBadRequest)
+	}
+	if st := m.Stats(); len(st.JobsByState) != 0 || st.Cache.Misses != 0 {
+		t.Fatalf("rejected submissions created jobs %v or loaded designs (%d cache misses)",
+			st.JobsByState, st.Cache.Misses)
+	}
+
 	// Artifacts of a non-done job are a conflict.
 	sub := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", map[string]any{
 		"kind": "harden", "benchmark": testBench,

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"gdsiiguard"
-	"gdsiiguard/internal/cluster"
 	"gdsiiguard/internal/core"
 	"gdsiiguard/internal/durable"
 	"gdsiiguard/internal/fault"
@@ -42,10 +41,6 @@ type Config struct {
 	// further attempt with ±50% jitter and is cut short by job
 	// cancellation (default 250ms).
 	RetryBackoff time.Duration
-	// Cluster, when set, fans explore jobs out over a distributed
-	// island-model cluster instead of running NSGA-II in-process. Harden
-	// and attack jobs always run locally.
-	Cluster *cluster.Driver
 	// Store, when set, makes jobs durable: specs, state transitions,
 	// exploration checkpoints and results are written to a per-job
 	// crash-safe WAL, and New replays the store — re-queueing interrupted
@@ -448,22 +443,17 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*Result, *gdsiiguard.H
 		res.Hardened = &h.Metrics
 		return res, h, nil
 	case KindExplore:
-		var ex *gdsiiguard.Exploration
-		if m.cfg.Cluster != nil {
-			ex, err = m.executeClusterExplore(ctx, job)
-		} else {
-			// The checkpoint hook always runs (cheap in-memory when the
-			// manager has no store), so a transient-failure retry resumes
-			// the exploration instead of restarting it.
-			opt := job.Spec.Explore
-			opt.Checkpoint = func(blob []byte) error {
-				return m.persistCheckpoint(job, scopeLocal, blob)
-			}
-			if scope, blob := job.resumeState(); scope == scopeLocal && len(blob) > 0 {
-				opt.Resume = blob
-			}
-			ex, err = d.ExploreCtx(ctx, opt)
+		// The checkpoint hook always runs (cheap in-memory when the manager
+		// has no store), so a transient-failure retry resumes the
+		// exploration instead of restarting it.
+		opt := job.Spec.Explore
+		opt.Checkpoint = func(blob []byte) error {
+			return m.persistCheckpoint(job, scopeLocal, blob)
 		}
+		if scope, blob := job.resumeState(); scope == scopeLocal && len(blob) > 0 {
+			opt.Resume = blob
+		}
+		ex, err := d.ExploreCtx(ctx, opt)
 		if err != nil {
 			return nil, nil, err
 		}

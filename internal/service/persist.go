@@ -20,8 +20,8 @@ const (
 	recSpec = "spec"
 	// recState is one lifecycle transition (per attempt for running).
 	recState = "state"
-	// recCheckpoint is the latest exploration checkpoint blob (local
-	// optimizer or cluster epoch scope).
+	// recCheckpoint is the latest exploration checkpoint blob, tagged with
+	// the scope of the engine that wrote it.
 	recCheckpoint = "checkpoint"
 	// recResult is a finished job's payload, appended before the terminal
 	// snapshot compacts the log (so a crash between the two still recovers
@@ -37,11 +37,12 @@ const (
 // budget, crash). It is non-terminal on purpose — replay re-queues the job.
 const stateInterrupted State = "interrupted"
 
-// Checkpoint scopes: which engine produced (and can resume) the blob.
-const (
-	scopeLocal   = "local"   // nsga2.Checkpoint via gdsiiguard.ExploreOptions
-	scopeCluster = "cluster" // cluster.EpochCheckpoint
-)
+// scopeLocal tags an nsga2.Checkpoint blob (via gdsiiguard.ExploreOptions),
+// the one checkpoint form explore jobs resume from. Logs written by older
+// servers may hold a checkpoint of another scope (the island-model
+// cluster's "cluster" epoch checkpoints); the job ignores it and re-runs
+// from generation 0.
+const scopeLocal = "local"
 
 type specRecord struct {
 	Spec      Spec      `json:"spec"`

@@ -244,6 +244,64 @@ func TestDurableCorruptTailResumesFromLastCheckpoint(t *testing.T) {
 	}
 }
 
+// A log written by an island-model coordinator holds its spec in the old
+// form (with the island fields) and a checkpoint of scope "cluster". Only
+// nsga2 checkpoints resume, so the recovered job must ignore that
+// checkpoint and re-run from generation 0 to the front a fresh run
+// produces: no failure and no retry loop.
+func TestDurableClusterCheckpointRerunsLocally(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	l, err := st.Log("job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := json.Marshal(specRecord{Spec: testExploreSpec(), Submitted: time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(spec, &old); err != nil {
+		t.Fatal(err)
+	}
+	explore := old["spec"].(map[string]any)["Explore"].(map[string]any)
+	explore["Islands"], explore["MigrationInterval"], explore["MigrationCount"] = 2, 2, 1
+	epoch := json.RawMessage(`{"seed":42,"islands":2,"epoch":1,` +
+		`"states":[{"alive":true},{"alive":true}],"evaluations":24,"migrations":2}`)
+	for _, rec := range []struct {
+		typ string
+		v   any
+	}{
+		{recSpec, old},
+		{recState, stateRecord{State: StateRunning, Attempt: 1, Time: time.Now()}},
+		{recCheckpoint, checkpointRecord{Scope: "cluster", Data: epoch}},
+	} {
+		if err := l.Append(rec.typ, rec.v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	t.Cleanup(func() { st2.Close() })
+	m := newTestManager(t, Config{Workers: 1, Store: st2, JitterSeed: 1})
+	job, err := m.Get("job-1")
+	if err != nil {
+		t.Fatalf("cluster-era job not recovered: %v", err)
+	}
+	if got := waitTerminal(t, job, 2*time.Minute); got != StateDone {
+		t.Fatalf("recovered job = %s (err %v)", got, job.Err())
+	}
+	if n := job.Attempts(); n != 1 {
+		t.Errorf("recovered job took %d attempts, want 1", n)
+	}
+	if want := stripRuntime(goldenExploration(t)); !reflect.DeepEqual(stripRuntime(job.Result().Exploration), want) {
+		t.Error("cluster-era job did not re-run to the fresh run's front")
+	}
+}
+
 // A log whose surviving records cannot identify the job (no spec) is
 // quarantined aside — startup proceeds, the bytes stay on disk for
 // post-mortem, and the ID sequence still advances past the quarantined ID.

@@ -71,6 +71,16 @@ type Spec struct {
 	Timeout time.Duration
 }
 
+// Upper bounds on a client's explore sizes. The optimizer starts
+// Parallelism evaluation goroutines every generation and holds PopSize
+// individuals per generation, so an unbounded value is a request for
+// unbounded memory.
+const (
+	maxPopSize     = 1024
+	maxGenerations = 4096
+	maxParallelism = 1024
+)
+
 // Validate checks the spec before it is queued.
 func (s Spec) Validate() error {
 	switch s.Kind {
@@ -87,6 +97,18 @@ func (s Spec) Validate() error {
 	}
 	if s.Timeout < 0 {
 		return fmt.Errorf("service: negative timeout")
+	}
+	for _, b := range []struct {
+		name     string
+		val, max int
+	}{
+		{"pop_size", s.Explore.PopSize, maxPopSize},
+		{"generations", s.Explore.Generations, maxGenerations},
+		{"parallelism", s.Explore.Parallelism, maxParallelism},
+	} {
+		if b.val < 0 || b.val > b.max {
+			return fmt.Errorf("service: explore %s %d out of range [0, %d]", b.name, b.val, b.max)
+		}
 	}
 	return nil
 }
