@@ -88,6 +88,16 @@ type FlowParams struct {
 	ScaleM []float64
 }
 
+// Validate checks the parameters without a design: the operator, the
+// Table I domains and the ScaleM length. Every design is placed over the
+// embedded 45nm library (LoadBenchmark and LoadDEF alike), so its routing
+// layer count is known up front; a nil FlowParams is the default flow and
+// valid. Harden refuses exactly the parameters Validate refuses.
+func (p *FlowParams) Validate() error {
+	_, err := p.toCore(opencell45.MustLoad().NumLayers())
+	return err
+}
+
 func (p *FlowParams) toCore(k int) (core.Params, error) {
 	out := core.DefaultParams(k)
 	if p == nil {

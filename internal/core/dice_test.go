@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"gdsiiguard/internal/layout"
@@ -95,11 +96,11 @@ func TestExploitablePotential(t *testing.T) {
 		t.Errorf("mass = %d, want 55", mass)
 	}
 	if phi != 25*25+30*30 {
-		t.Errorf("phi = %g", phi)
+		t.Errorf("phi = %d", phi)
 	}
 	mass, phi = exploitablePotential([]int{5, 19}, 20)
 	if mass != 0 || phi != 0 {
-		t.Errorf("sub-threshold mass/phi = %d/%g", mass, phi)
+		t.Errorf("sub-threshold mass/phi = %d/%d", mass, phi)
 	}
 }
 
@@ -186,5 +187,172 @@ func TestShrinkAndSpill(t *testing.T) {
 	out = shrinkAndSpill(cur, 0, 2)
 	if len(out) != 1 || out[0] != (freeRun{2, 3}) {
 		t.Errorf("vanish out = %+v", out)
+	}
+}
+
+// TestProbePhiMatchesFullRelabel is the property test of the probe
+// scoring: on randomized layouts, moving a random donor to a random
+// position inside a random free run and scoring it from the touched
+// components must give the potential of a whole-layout relabel, at every
+// threshold. A quarter of the probes are kept, so later probes run on
+// labelings the earlier ones produced.
+func TestProbePhiMatchesFullRelabel(t *testing.T) {
+	cases := []struct {
+		chains, stages int
+		util           float64
+	}{
+		{6, 5, 0.45},
+		{8, 7, 0.60},
+		{10, 6, 0.72},
+		{4, 12, 0.55},
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		c := cases[int(seed)%len(cases)]
+		l := buildDesign(t, c.chains, c.stages, c.util, seed)
+		rng := rand.New(rand.NewSource(seed))
+		var e shiftEngine
+		d := &e.dice
+		d.cache.reset(l.NumRows)
+		d.relabel(l)
+		probes, sameRow := 0, 0
+		for step := 0; step < 1000; step++ {
+			target := &d.a.runs[rng.Intn(len(d.a.runs))]
+			row := rng.Intn(l.NumRows)
+			if rng.Intn(2) == 0 { // bias toward split donors
+				row = target.row + rng.Intn(3) - 1
+				if row < 0 || row >= l.NumRows {
+					continue
+				}
+			}
+			donors := d.rowDonors(l, row)
+			if len(donors) == 0 {
+				continue
+			}
+			dn := &donors[rng.Intn(len(donors))]
+			w := dn.in.Master.WidthSites
+			if w >= target.length {
+				continue
+			}
+			at := target.start + rng.Intn(target.length-w+1)
+			if err := l.Place(dn.in, target.row, at); err != nil {
+				t.Fatal(err)
+			}
+			d.cache.invalidate(dn.row)
+			d.cache.invalidate(target.row)
+			var full compBuf
+			var rc diceRowCache
+			rc.reset(l.NumRows)
+			full.build(l, &rc)
+			for _, thresh := range []int{3, 10, 20, 40} {
+				_, phi := exploitablePotential(d.a.weights, thresh)
+				_, want := exploitablePotential(full.weights, thresh)
+				if got := d.probePhi(l, thresh, phi, target, dn); got != want {
+					t.Fatalf("seed %d step %d: %s (%d,%d) -> (%d,%d) thresh %d: probe Φ = %d, relabel Φ = %d",
+						seed, step, dn.in.Name, dn.row, dn.site, target.row, at, thresh, got, want)
+				}
+			}
+			probes++
+			if dn.row == target.row {
+				sameRow++
+			}
+			if rng.Intn(4) == 0 {
+				d.relabel(l)
+				continue
+			}
+			if err := l.Place(dn.in, dn.row, dn.site); err != nil {
+				t.Fatal(err)
+			}
+			d.cache.invalidate(dn.row)
+			d.cache.invalidate(target.row)
+		}
+		if probes < 100 || sameRow == 0 {
+			t.Fatalf("seed %d: %d probes, %d within the target row: too few to test", seed, probes, sameRow)
+		}
+	}
+}
+
+// diceRig is a mid-size design after the row passes, with a warm dicing
+// scratch and an open journal: the dicing stage as its benchmark and its
+// allocation test drive it.
+type diceRig struct {
+	l   *layout.Layout
+	e   shiftEngine
+	phi int64
+}
+
+func newDiceRig(tb testing.TB) *diceRig {
+	r := &diceRig{l: buildDesign(tb, 16, 12, 0.5, 5)}
+	Preprocess(r.l)
+	CellShiftWithOptions(r.l, 20, false)
+	r.l.BeginJournal()
+	tb.Cleanup(r.l.EndJournal)
+	r.e.dice.cache.reset(r.l.NumRows)
+	r.relabel()
+	return r
+}
+
+func (r *diceRig) relabel() {
+	r.e.dice.relabel(r.l)
+	_, r.phi = exploitablePotential(r.e.dice.a.weights, 20)
+}
+
+// attempt makes one dicing attempt, rolls a kept move back and gives the
+// target up, so the rig cycles over the targets of one labeling: every
+// call after the first cycle repeats work the scratch has already sized
+// itself for.
+func (r *diceRig) attempt() (probed bool) {
+	d := &r.e.dice
+	mark := r.l.JournalMark()
+	ti, accepted := d.attempt(r.l, 20, r.phi)
+	switch {
+	case ti < 0:
+		r.relabel()
+		return false
+	case accepted:
+		// The rollback restores the layout d.a labels; only the row
+		// scans of the kept move are stale.
+		r.l.RollbackJournal(mark)
+		d.cache.reset(r.l.NumRows)
+	}
+	d.skipped[ti] = true
+	return true
+}
+
+// TestDiceAttemptAllocatesNothing: once the dicing scratch is warm, an
+// attempt (donor scoring, probes, their scoring and reverts) allocates
+// nothing.
+func TestDiceAttemptAllocatesNothing(t *testing.T) {
+	r := newDiceRig(t)
+	if mass, _ := exploitablePotential(r.e.dice.a.weights, 20); mass == 0 {
+		t.Fatal("rig has no exploitable mass to dice")
+	}
+	targets := 0
+	for r.attempt() {
+		targets++
+	}
+	if targets == 0 {
+		t.Fatal("rig made no dicing attempt")
+	}
+	for i := 0; i < 2*targets; i++ {
+		r.attempt()
+	}
+	if n := testing.AllocsPerRun(200, func() { r.attempt() }); n != 0 {
+		t.Errorf("warm dicing attempt: %v allocs/op, want 0", n)
+	}
+}
+
+// BenchmarkDiceResidual measures the whole dicing stage on the layout the
+// row passes leave, rolled back through the journal after each run.
+// TestDiceAttemptAllocatesNothing gates its attempts' allocations.
+func BenchmarkDiceResidual(b *testing.B) {
+	r := newDiceRig(b)
+	budget := r.l.FreeSites()/20*2 + 64
+	r.e.diceResidual(r.l, 20, budget) // warm the scratch
+	r.l.RollbackJournal(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.e.diceResidual(r.l, 20, budget)
+		r.l.RollbackJournal(0)
 	}
 }

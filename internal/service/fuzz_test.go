@@ -7,8 +7,8 @@ import (
 
 // FuzzDecodeSubmit drives arbitrary bytes through the POST /v1/jobs
 // decoder. Every input must either fail with an error or yield a Spec that
-// passes Validate with its explore sizes inside the submit bounds; none
-// may panic.
+// passes Validate with its explore sizes inside the submit bounds and
+// flow params the harden flow accepts; none may panic.
 func FuzzDecodeSubmit(f *testing.F) {
 	for _, body := range []string{
 		`{"kind":"harden","benchmark":"PRESENT"}`,
@@ -16,6 +16,10 @@ func FuzzDecodeSubmit(f *testing.F) {
 		`{"kind":"frobnicate","benchmark":"PRESENT"}`,
 		`{"kind":"harden","benchmark":"PRESENT","bogus_field":1}`,
 		`{"kind":"harden","benchmark":"PRESENT","params":{"op":"LDA","lda_grid_n":8,"lda_iters":2,"scale_m":[1.2,1,1]}}`,
+		`{"kind":"harden","benchmark":"PRESENT","params":{"op":"XX"}}`,
+		`{"kind":"harden","benchmark":"PRESENT","params":{"scale_m":[1.2]}}`,
+		`{"kind":"harden","benchmark":"PRESENT","params":{"op":"LDA","lda_grid_n":7,"lda_iters":4}}`,
+		`{"kind":"attack","benchmark":"PRESENT","params":{"scale_m":[1.5,1.5,1.5,1.5]}}`,
 		`{"kind":"harden","def":"VERSION 5.8 ;\nEND DESIGN\n","clock_ps":500,"assets":["key_reg_0"]}`,
 		`{"kind":"explore","benchmark":"PRESENT","explore":{"pop_size":6,"generations":8,"parallelism":1,"seed":42}}`,
 		`{"kind":"explore","benchmark":"PRESENT","explore":{"parallelism":100000000}}`,
@@ -44,6 +48,9 @@ func FuzzDecodeSubmit(f *testing.F) {
 			ex.Generations < 0 || ex.Generations > maxGenerations ||
 			ex.Parallelism < 0 || ex.Parallelism > maxParallelism {
 			t.Fatalf("decoded explore sizes out of bounds: %+v", ex)
+		}
+		if err := spec.Params.Validate(); err != nil {
+			t.Fatalf("decoded params %+v fail the flow's check: %v", spec.Params, err)
 		}
 		if spec.Timeout < 0 {
 			t.Fatalf("decoded negative timeout %v", spec.Timeout)

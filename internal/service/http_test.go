@@ -206,6 +206,23 @@ func TestHTTPErrors(t *testing.T) {
 			t.Errorf("explore %v: error %q, want a service: explore bound error", explore, msg)
 		}
 	}
+	// Harden params are checked at submit as well: an unknown operator, a
+	// scale_m whose length is not the library's layer count or an LDA
+	// value outside Table I never loads a design.
+	for _, params := range []map[string]any{
+		{"op": "XX"},
+		{"scale_m": []float64{1.2}},
+		{"scale_m": []float64{}},
+		{"op": "LDA", "lda_grid_n": 7},
+		{"scale_m": []float64{1, 1, 1.3}},
+	} {
+		got := doJSON(t, http.MethodPost, srv.URL+"/v1/jobs", map[string]any{
+			"kind": "harden", "benchmark": testBench, "params": params,
+		}, http.StatusBadRequest)
+		if msg, _ := got["error"].(string); !strings.HasPrefix(msg, "service: params: ") {
+			t.Errorf("params %v: error %q, want a service: params error", params, msg)
+		}
+	}
 	// The island-model request fields are gone: a client still sending
 	// them is refused rather than silently run as a single population.
 	for _, field := range []string{"islands", "migration_interval", "migration_count"} {

@@ -218,7 +218,11 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	job.requestCancel(time.Now())
+	if job.requestCancel(time.Now()) {
+		// Cancelled while queued: retire it now, not when a worker
+		// reaches it in the queue, so its Wait returns at once.
+		m.retire(job)
+	}
 	return job, nil
 }
 
@@ -473,8 +477,14 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*Result, *gdsiiguard.H
 // retire enforces the result store's retention limit after a job reaches
 // a terminal state. It is the single chokepoint every job passes on its
 // way out (including jobs cancelled while queued), so terminal-state
-// accounting lives here.
+// accounting lives here, and it closes the job's done channel only after
+// counting and persisting, so Wait never returns ahead of either. The
+// first call per job does the work; later calls return at once.
 func (m *Manager) retire(job *Job) {
+	if !job.claimRetire() {
+		return
+	}
+	defer job.release()
 	state := job.State()
 	jobsFinished.With(string(job.Spec.Kind), string(state)).Inc()
 	logger := obs.Logger()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +165,48 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if queued.Result() != nil {
 		t.Error("cancelled queued job has a result")
+	}
+}
+
+// Cancelling queued jobs races the worker that dequeues them: either may
+// retire a job, and exactly one does, so every job is counted once in
+// gdsiiguard_jobs_finished_total and every Wait returns.
+func TestCancelQueuedJobsRetireOnce(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, QueueDepth: 32})
+	finished := func() float64 {
+		n := 0.0
+		for _, s := range []State{StateDone, StateFailed, StateCancelled} {
+			n += jobsFinished.With(string(KindAttack), string(s)).Value()
+		}
+		return n
+	}
+	before := finished()
+	var jobs []*Job
+	for i := 0; i < 32; i++ {
+		job, err := m.Submit(Spec{Kind: KindAttack, Benchmark: testBench})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	var wg sync.WaitGroup
+	for _, job := range jobs {
+		wg.Add(1)
+		go func(id string) {
+			defer wg.Done()
+			if _, err := m.Cancel(id); err != nil {
+				t.Error(err)
+			}
+		}(job.ID)
+	}
+	wg.Wait()
+	for _, job := range jobs {
+		if st := waitTerminal(t, job, time.Minute); st != StateCancelled && st != StateDone {
+			t.Errorf("job %s = %s (err %v)", job.ID, st, job.Err())
+		}
+	}
+	if got := finished() - before; got != float64(len(jobs)) {
+		t.Errorf("%v jobs counted finished, want %d", got, len(jobs))
 	}
 }
 

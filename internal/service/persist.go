@@ -395,6 +395,7 @@ func (m *Manager) recover() {
 			job.finish(StateFailed, nil, nil,
 				fmt.Errorf("service: recovered job exceeds queue capacity %d", m.cfg.QueueDepth),
 				time.Now())
+			job.release()
 			m.jobs[job.ID] = job
 			m.finished = append(m.finished, job.ID)
 			job.wal = nil // avoid persisting through a log we will not reuse

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 
 	"gdsiiguard"
 	"gdsiiguard/internal/durable"
+	"gdsiiguard/internal/obs"
 )
 
 // openStore opens a durable store rooted at dir, failing the test on error.
@@ -518,5 +520,90 @@ func TestReadyzDrainThenFinalCheckpointOrdering(t *testing.T) {
 	}
 	if !sawCheckpoint {
 		t.Error("no checkpoint flushed before the interrupted marker")
+	}
+}
+
+// parkHandler is a slog handler that parks the first goroutine logging msg
+// until proceed is closed, after closing reached.
+type parkHandler struct {
+	msg              string
+	reached, proceed chan struct{}
+	once             sync.Once
+}
+
+func (h *parkHandler) Enabled(context.Context, slog.Level) bool { return true }
+func (h *parkHandler) WithAttrs([]slog.Attr) slog.Handler       { return h }
+func (h *parkHandler) WithGroup(string) slog.Handler            { return h }
+func (h *parkHandler) Handle(_ context.Context, r slog.Record) error {
+	if r.Message == h.msg {
+		h.once.Do(func() {
+			close(h.reached)
+			<-h.proceed
+		})
+	}
+	return nil
+}
+
+// A job's done channel closes only after the manager has counted it in
+// gdsiiguard_jobs_finished_total and persisted its terminal snapshot, so
+// Wait never returns ahead of either. The retire path is parked at its
+// "job finished" log line, which comes after the count and before the
+// persist: done must still be open there. Once released, Wait must see
+// the count and the snapshot.
+func TestWaitReturnsAfterRetire(t *testing.T) {
+	h := &parkHandler{msg: "service: job finished", reached: make(chan struct{}), proceed: make(chan struct{})}
+	obs.SetLogger(slog.New(h))
+	t.Cleanup(func() { obs.SetLogger(nil) })
+	st := openStore(t, t.TempDir())
+	t.Cleanup(func() { st.Close() })
+	m := newTestManager(t, Config{Workers: 1, Store: st, JitterSeed: 1})
+	// Registered after the manager, so it runs before the manager's
+	// shutdown: a failed assertion must not leave the worker parked.
+	release := sync.OnceFunc(func() { close(h.proceed) })
+	t.Cleanup(release)
+	finished := jobsFinished.With(string(KindAttack), string(StateDone))
+	before := finished.Value()
+
+	job, err := m.Submit(Spec{Kind: KindAttack, Benchmark: testBench})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.reached:
+	case <-job.Done():
+		t.Fatal("done closed before the job was retired")
+	case <-time.After(2 * time.Minute):
+		t.Fatalf("job %s never retired (state %s)", job.ID, job.State())
+	}
+	select {
+	case <-job.Done():
+		t.Fatal("done closed before the terminal snapshot was persisted")
+	default:
+	}
+	release()
+
+	if got := job.Wait(); got != StateDone {
+		t.Fatalf("job = %s (err %v)", got, job.Err())
+	}
+	if got := finished.Value(); got != before+1 {
+		t.Errorf("jobs_finished_total{attack,done} = %v after Wait, want %v", got, before+1)
+	}
+	l, err := st.Log(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, tail, err := l.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil || snap.Type != recJob || len(tail) != 0 {
+		t.Fatalf("log after Wait: snapshot %v, %d tail records; want one compacted job snapshot", snap, len(tail))
+	}
+	var js jobSnapshot
+	if err := json.Unmarshal(snap.Data, &js); err != nil {
+		t.Fatal(err)
+	}
+	if js.State != StateDone {
+		t.Errorf("persisted state = %s after Wait, want done", js.State)
 	}
 }

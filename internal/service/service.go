@@ -98,6 +98,9 @@ func (s Spec) Validate() error {
 	if s.Timeout < 0 {
 		return fmt.Errorf("service: negative timeout")
 	}
+	if err := s.Params.Validate(); err != nil {
+		return fmt.Errorf("service: params: %w", err)
+	}
 	for _, b := range []struct {
 		name     string
 		val, max int
@@ -147,7 +150,11 @@ type Job struct {
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	done      chan struct{}
+	// done closes once the job is terminal AND retired: its terminal
+	// state counted and persisted (see Manager.retire), so a client woken
+	// by Wait or Done observes both.
+	done    chan struct{}
+	retired bool
 	// resumeScope/resume hold the latest exploration checkpoint (from a
 	// recovered log or emitted live), so retries and restarts continue the
 	// run instead of starting over. ckpts counts checkpoints since the last
@@ -276,7 +283,8 @@ func (j *Job) start(cancel func(), now time.Time) bool {
 	return true
 }
 
-// finish records the terminal state exactly once.
+// finish records the terminal state exactly once. It does not close done:
+// the manager does that when it retires the job.
 func (j *Job) finish(state State, res *Result, h *gdsiiguard.Hardened, err error, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -292,8 +300,23 @@ func (j *Job) finish(state State, res *Result, h *gdsiiguard.Hardened, err error
 		j.cancel()
 		j.cancel = nil
 	}
-	close(j.done)
 }
+
+// claimRetire reports whether the caller is the first to retire the job. A
+// queued job a client cancels is retired by Manager.Cancel, and offered
+// again by the worker that later dequeues it.
+func (j *Job) claimRetire() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.retired {
+		return false
+	}
+	j.retired = true
+	return true
+}
+
+// release closes done, waking Wait and Done.
+func (j *Job) release() { close(j.done) }
 
 // setCheckpoint records the latest exploration checkpoint blob.
 func (j *Job) setCheckpoint(scope string, blob []byte) {
@@ -327,21 +350,22 @@ func (j *Job) wasUserCancelled() bool {
 	return j.userCancelled
 }
 
-// requestCancel cancels a queued job immediately or signals a running
-// job's context; it is a no-op on terminal jobs.
-func (j *Job) requestCancel(now time.Time) {
+// requestCancel cancels a queued job immediately, reporting true (the
+// caller then retires it), or signals a running job's context; it is a
+// no-op on terminal jobs.
+func (j *Job) requestCancel(now time.Time) bool {
 	j.mu.Lock()
 	j.userCancelled = true
 	if j.state == StateQueued {
 		j.state = StateCancelled
 		j.finished = now
-		close(j.done)
 		j.mu.Unlock()
-		return
+		return true
 	}
 	cancel := j.cancel
 	j.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
+	return false
 }

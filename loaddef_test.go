@@ -35,6 +35,49 @@ func TestFlowParamsToCore(t *testing.T) {
 	}
 }
 
+// TestFlowParamsValidateMatchesHarden: Validate, which needs no design,
+// refuses exactly the parameters a loaded design's Harden refuses, with
+// the same error.
+func TestFlowParamsValidateMatchesHarden(t *testing.T) {
+	d, err := LoadBenchmark("PRESENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := d.base.Layout.Lib().NumLayers()
+	ones := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = 1
+		}
+		return s
+	}
+	for _, p := range []*FlowParams{
+		nil,
+		{},
+		{Op: CellShift, ScaleM: ones(k)},
+		{Op: LocalDensityAdjust, LDAGridN: 32, LDAIters: 3},
+		{Op: "XX"},
+		{ScaleM: ones(k - 1)},
+		{ScaleM: ones(k + 1)},
+		{ScaleM: []float64{}},
+		{ScaleM: append(ones(k-1), 1.3)},
+		{Op: LocalDensityAdjust, LDAGridN: 7},
+		{Op: LocalDensityAdjust, LDAIters: 4},
+	} {
+		verr := p.Validate()
+		_, cerr := p.toCore(k)
+		if (verr == nil) != (cerr == nil) || (verr != nil && verr.Error() != cerr.Error()) {
+			t.Errorf("%+v: Validate = %v, design check = %v", p, verr, cerr)
+		}
+		if cerr == nil {
+			continue // valid: Harden would run the whole flow
+		}
+		if _, herr := d.Harden(p); herr == nil || herr.Error() != cerr.Error() {
+			t.Errorf("%+v: Harden = %v, want %v", p, herr, cerr)
+		}
+	}
+}
+
 // hardenedDEF produces a valid hardened DEF through the public API once
 // per test run.
 func hardenedDEF(t *testing.T) string {
