@@ -46,7 +46,11 @@ type belowIndex struct {
 	rootOf      []int
 	shareWeight []int
 	rootLink    []int
-	firstOf     map[int]int
+	// lastOf[root] is the most recent topRun having root, valid where
+	// lastStamp[root] == stamp; both are indexed by union-find id.
+	lastOf    []int
+	lastStamp []uint32
+	stamp     uint32
 
 	scratch []int // reusable union-find arena for componentWeight
 }
@@ -118,23 +122,33 @@ func (ix *belowIndex) project() {
 	ix.rootOf = sized(ix.rootOf, n)
 	ix.shareWeight = sized(ix.shareWeight, n)
 	ix.rootLink = sized(ix.rootLink, n)
-	if ix.firstOf == nil {
-		ix.firstOf = make(map[int]int, n)
+	if ids := len(ix.parent); cap(ix.lastStamp) < ids {
+		// Fresh zero stamps are all stale; the spare capacity keeps
+		// growth amortized as rows are added.
+		ix.lastStamp = make([]uint32, ids, 2*ids)
+		ix.lastOf = make([]int, ids, 2*ids)
 	} else {
-		clear(ix.firstOf)
+		ix.lastStamp = ix.lastStamp[:ids]
+		ix.lastOf = ix.lastOf[:ids]
+	}
+	ix.stamp++
+	if ix.stamp == 0 { // wrapped: forget every old stamp
+		clear(ix.lastStamp[:cap(ix.lastStamp)])
+		ix.stamp = 1
 	}
 	for k := range ix.topRuns {
 		root := ix.find(ix.topOff + k)
 		ix.rootOf[k] = root
-		if prev, ok := ix.firstOf[root]; ok {
-			ix.rootLink[k] = prev
+		if ix.lastStamp[root] == ix.stamp {
+			ix.rootLink[k] = ix.lastOf[root]
 			ix.shareWeight[k] = 0
 		} else {
+			ix.lastStamp[root] = ix.stamp
 			ix.rootLink[k] = -1
 			ix.shareWeight[k] = ix.weight[root]
 		}
 		// Chain to the most recent same-root topRun.
-		ix.firstOf[root] = k
+		ix.lastOf[root] = k
 	}
 }
 
@@ -148,6 +162,43 @@ func (ix *belowIndex) mass(threshER int) int {
 		}
 	}
 	return m
+}
+
+// reaches reports whether componentWeight(cur, vIdx) >= threshER. Most
+// queries are decided by a lower bound first: v's own length plus the
+// weights of the distinct below components that v's overlapping top runs
+// belong to, all of which compo(v) contains. Only when that bound stays
+// below the threshold does it fall back to the full componentWeight.
+func (ix *belowIndex) reaches(cur []freeRun, vIdx, threshER int) bool {
+	v := cur[vIdx]
+	w := v.length
+	if w >= threshER {
+		return true
+	}
+	// k0 is the first top run ending past v's start; top runs are
+	// ascending and disjoint, so the overlapping ones follow it.
+	k0, hi := 0, len(ix.topRuns)
+	for k0 < hi {
+		mid := int(uint(k0+hi) >> 1)
+		if t := ix.topRuns[mid]; t.start+t.length <= v.start {
+			k0 = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for k := k0; k < len(ix.topRuns) && ix.topRuns[k].start < v.start+v.length; k++ {
+		// A root shared with an earlier overlapping top run is counted
+		// there already: rootLink names the latest earlier run with the
+		// same root, and every run in [k0, k) overlaps v.
+		if ix.rootLink[k] >= k0 {
+			continue
+		}
+		w += ix.weight[ix.rootOf[k]]
+		if w >= threshER {
+			return true
+		}
+	}
+	return ix.componentWeight(cur, vIdx) >= threshER
 }
 
 // componentWeight returns w(compo(v)) for the current row's run at index

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"fmt"
+
 	"gdsiiguard/internal/layout"
-	"gdsiiguard/internal/netlist"
 )
 
 // CellShiftResult reports one Cell Shift run.
 type CellShiftResult struct {
-	// Shifts is the total number of single-site cell moves performed.
+	// Shifts is the total number of single-site shifts Algorithm 1
+	// performed: the sites the row passes moved cells by.
 	Shifts int
 	// CellsMoved is the number of distinct cells moved.
 	CellsMoved int
@@ -26,7 +28,8 @@ type CellShiftResult struct {
 // shift, exactly as in the paper's inner loop: shrinking a vertex can
 // disconnect it from runs in the rows below, splitting its component — that
 // split is precisely what fragments the free space into sub-Thresh_ER
-// pockets. Fixed cells (the locked security-critical assets) never move.
+// pockets. The cell itself is then placed once per vertex. Security-critical
+// cells shift like any other cell; cells fixed for other reasons never move.
 // maxCellShiftPasses bounds the alternating pass count; each pass drains
 // the blind-spot edge column left by the previous one, and the loop stops
 // as soon as a pass pair yields no further reduction.
@@ -51,9 +54,11 @@ type shiftEngine struct {
 	ix     belowIndex
 	runBuf []layout.SiteRun // AppendFreeRuns scratch
 	curBuf []freeRun        // current-row runs, mutated by shrinkAndSpill
-	// passAdded collects cells first recorded as moved during the current
-	// pass, so a rolled-back pass also rolls its CellsMoved entries back.
-	passAdded []*netlist.Instance
+	// moved[id] marks instance id as moved by a kept row pass; passAdded
+	// collects the ids first marked during the current pass, so a
+	// rolled-back pass also rolls its CellsMoved entries back.
+	moved     []bool
+	passAdded []int
 	dice      diceScratch
 	bands     bandScratch
 
@@ -64,7 +69,7 @@ type shiftEngine struct {
 
 func (e *shiftEngine) run(l *layout.Layout, threshER int, dice bool) CellShiftResult {
 	var res CellShiftResult
-	moved := map[*netlist.Instance]bool{}
+	e.moved = sizedFalse(e.moved, len(l.Netlist.Insts))
 	// The journal replaces the per-pass whole-layout Clone snapshot: a
 	// failed pass is rolled back by replaying inverses in O(moves).
 	l.BeginJournal()
@@ -83,15 +88,15 @@ func (e *shiftEngine) run(l *layout.Layout, threshER int, dice bool) CellShiftRe
 			mark := l.JournalMark()
 			shiftsBefore := res.Shifts
 			e.passAdded = e.passAdded[:0]
-			e.pass(l, threshER, pass%2 == 1, &res, moved)
+			e.pass(l, threshER, pass%2 == 1, &res)
 			m := e.exploitableMass(l, threshER)
 			if m >= best {
 				// The pass piled mass against its blind spots (core edge
 				// or fixed cells): roll it back, try the other direction.
 				l.RollbackJournal(mark)
 				res.Shifts = shiftsBefore
-				for _, in := range e.passAdded {
-					delete(moved, in)
+				for _, id := range e.passAdded {
+					e.moved[id] = false
 				}
 				fails++
 				continue
@@ -108,7 +113,12 @@ func (e *shiftEngine) run(l *layout.Layout, threshER int, dice bool) CellShiftRe
 			break // the round made no net progress
 		}
 	}
-	res.CellsMoved = len(moved) + res.DiceMoves
+	for _, m := range e.moved {
+		if m {
+			res.CellsMoved++
+		}
+	}
+	res.CellsMoved += res.DiceMoves
 	return res
 }
 
@@ -163,35 +173,19 @@ func (e *shiftEngine) appendRowRuns(l *layout.Layout, row int, reverse bool, out
 // pass performs one directional pass. In mirrored space (reverse=true)
 // "shift left" means "shift right" physically, so a single implementation
 // covers both passes of the algorithm.
-func (e *shiftEngine) pass(l *layout.Layout, threshER int, reverse bool, res *CellShiftResult, moved map[*netlist.Instance]bool) {
+//
+// Security-critical cells are preprocessed against removal or replacement,
+// not against row-wise shifting: a few-site horizontal move keeps the asset
+// intact (the paper's CS operates on "designs with loose timing
+// constraints" where such moves are benign), so they shift like any other
+// cell. Cells fixed for other reasons stay fixed.
+func (e *shiftEngine) pass(l *layout.Layout, threshER int, reverse bool, res *CellShiftResult) {
 	w := l.SitesPerRow
 	phys := func(s int) int {
 		if reverse {
 			return w - 1 - s
 		}
 		return s
-	}
-	// Security-critical cells are preprocessed against removal or
-	// replacement, not against row-wise shifting: a few-site horizontal
-	// move keeps the asset intact (the paper's CS operates on "designs
-	// with loose timing constraints" where such moves are benign). Cells
-	// fixed for other reasons stay fixed.
-	shift := func(cell *netlist.Instance) error {
-		unlocked := false
-		if cell.Fixed && cell.SecurityCritical {
-			cell.Fixed = false
-			unlocked = true
-		}
-		var err error
-		if reverse {
-			err = l.ShiftRight(cell)
-		} else {
-			err = l.ShiftLeft(cell)
-		}
-		if unlocked {
-			cell.Fixed = true
-		}
-		return err
 	}
 
 	below := &e.ix
@@ -200,7 +194,7 @@ func (e *shiftEngine) pass(l *layout.Layout, threshER int, reverse bool, res *Ce
 		cur := e.appendRowRuns(l, row, reverse, e.curBuf[:0])
 		j := 0
 		for j < len(cur) {
-			if below.componentWeight(cur, j) < threshER {
+			if !below.reaches(cur, j, threshER) {
 				j++
 				continue
 			}
@@ -220,22 +214,31 @@ func (e *shiftEngine) pass(l *layout.Layout, threshER int, reverse bool, res *Ce
 				continue
 			}
 			// Inner loop of Algorithm 1: shift one site at a time,
-			// re-checking the component weight after each move.
+			// re-checking the component weight after each move (the first
+			// check is the one above). The check reads only the run list,
+			// so the sites are counted on cur and the cell is placed once,
+			// performed sites over: every site it crosses is a free site
+			// of v, so the move cannot fail.
 			vLen0 := cur[j].length
 			performed := 0
-			for performed < vLen0 && below.componentWeight(cur, j) >= threshER {
-				if err := shift(cell); err != nil {
+			for {
+				performed++
+				cur = shrinkAndSpill(cur, j, cell.Master.WidthSites)
+				if performed == vLen0 || !below.reaches(cur, j, threshER) {
 					break
 				}
-				performed++
-				if !moved[cell] {
-					moved[cell] = true
-					e.passAdded = append(e.passAdded, cell)
-				}
-				cur = shrinkAndSpill(cur, j, cell.Master.WidthSites)
-				if performed == vLen0 {
-					break // v vanished; slot j holds the successor run
-				}
+			}
+			// Mirrored left is physically right.
+			site := l.PlacementOf(cell).Site - performed
+			if reverse {
+				site += 2 * performed
+			}
+			if err := l.Place(cell, row, site); err != nil {
+				panic(fmt.Errorf("core: cell shift run list out of step with the occupancy grid: %w", err))
+			}
+			if !e.moved[cell.ID] {
+				e.moved[cell.ID] = true
+				e.passAdded = append(e.passAdded, cell.ID)
 			}
 			res.Shifts += performed
 			// Advance unless v vanished: the spilled run slid into slot j

@@ -46,8 +46,10 @@ type compBuf struct {
 
 // diceRowCache memoizes per-row occupancy scans (free runs and cell
 // lists) across dicing attempts. A dice probe moves one donor, touching at
-// most two rows; every other row's scan stays valid, so scoring a probe
-// re-scans only the changed rows.
+// most two rows; every other row's scan stays valid, and the free runs of
+// the two it touches are patched in place (vacate, occupy), so scoring a
+// probe or reverting it re-scans no row. Only the cell lists of the
+// touched rows are dropped.
 type diceRowCache struct {
 	runs       [][]layout.SiteRun
 	cells      [][]*netlist.Instance
@@ -73,12 +75,77 @@ func (rc *diceRowCache) reset(nRows int) {
 	}
 }
 
-// invalidate marks one row's scans stale (after a cell moved in it).
+// invalidate marks one row's scans stale, after a change in the row made
+// without move.
 func (rc *diceRowCache) invalidate(row int) {
 	if row >= 0 && row < len(rc.runsValid) {
 		rc.runsValid[row] = false
 		rc.cellsValid[row] = false
 	}
+}
+
+// vacate patches the row's cached free runs after a cell left the sites
+// [site, site+w): they merge with the runs ending at site and starting at
+// site+w. A row whose runs are not cached stays uncached.
+func (rc *diceRowCache) vacate(row, site, w int) {
+	rc.cellsValid[row] = false
+	if !rc.runsValid[row] {
+		return
+	}
+	runs := rc.runs[row]
+	i := 0 // the first run starting past site
+	for i < len(runs) && runs[i].Start <= site {
+		i++
+	}
+	left := i > 0 && runs[i-1].Start+runs[i-1].Len == site
+	right := i < len(runs) && runs[i].Start == site+w
+	switch {
+	case left && right:
+		runs[i-1].Len += w + runs[i].Len
+		runs = slices.Delete(runs, i, i+1)
+	case left:
+		runs[i-1].Len += w
+	case right:
+		runs[i].Start = site
+		runs[i].Len += w
+	default:
+		runs = slices.Insert(runs, i, layout.SiteRun{Row: row, Start: site, Len: w})
+	}
+	rc.runs[row] = runs
+}
+
+// occupy patches the row's cached free runs after a cell took the sites
+// [site, site+w), splitting the free run that held them. A row whose runs
+// are not cached stays uncached.
+func (rc *diceRowCache) occupy(row, site, w int) {
+	rc.cellsValid[row] = false
+	if !rc.runsValid[row] {
+		return
+	}
+	runs := rc.runs[row]
+	i := len(runs) - 1 // the last run starting at or before site
+	for i >= 0 && runs[i].Start > site {
+		i--
+	}
+	if i < 0 || runs[i].Start+runs[i].Len < site+w {
+		rc.runsValid[row] = false // not a free span: rescan on next use
+		return
+	}
+	r := runs[i]
+	leftLen, rightLen := site-r.Start, r.Start+r.Len-(site+w)
+	switch {
+	case leftLen > 0 && rightLen > 0:
+		runs[i].Len = leftLen
+		runs = slices.Insert(runs, i+1, layout.SiteRun{Row: row, Start: site + w, Len: rightLen})
+	case leftLen > 0:
+		runs[i].Len = leftLen
+	case rightLen > 0:
+		runs[i].Start = site + w
+		runs[i].Len = rightLen
+	default:
+		runs = slices.Delete(runs, i, i+1)
+	}
+	rc.runs[row] = runs
 }
 
 func (rc *diceRowCache) rowRuns(l *layout.Layout, r int) []layout.SiteRun {
@@ -314,24 +381,32 @@ func (d *diceScratch) attempt(l *layout.Layout, threshER int, phi int64) (ti int
 		if at < 0 {
 			break
 		}
-		if err := l.Place(dn.in, target.row, at); err != nil {
+		if err := d.move(l, dn.in, dn.row, dn.site, target.row, at); err != nil {
 			continue
 		}
-		d.cache.invalidate(dn.row)
-		d.cache.invalidate(target.row)
 		if d.probePhi(l, threshER, phi, target, dn) < phi {
 			return ti, true
 		}
 		// No improvement: revert.
-		if err := l.Place(dn.in, dn.row, dn.site); err != nil {
+		if err := d.move(l, dn.in, target.row, at, dn.row, dn.site); err != nil {
 			// The origin should always be free again; if not, keep the
 			// move rather than corrupting state.
 			return ti, true
 		}
-		d.cache.invalidate(dn.row)
-		d.cache.invalidate(target.row)
 	}
 	return ti, false
+}
+
+// move places in, which sits at (fromRow, fromSite), at (toRow, toSite)
+// and patches the row cache to match.
+func (d *diceScratch) move(l *layout.Layout, in *netlist.Instance, fromRow, fromSite, toRow, toSite int) error {
+	if err := l.Place(in, toRow, toSite); err != nil {
+		return err
+	}
+	w := in.Master.WidthSites
+	d.cache.vacate(fromRow, fromSite, w)
+	d.cache.occupy(toRow, toSite, w)
+	return nil
 }
 
 // relabel builds the labeling of the current layout and resets everything

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gdsiiguard/internal/layout"
@@ -268,6 +270,115 @@ func TestProbePhiMatchesFullRelabel(t *testing.T) {
 		if probes < 100 || sameRow == 0 {
 			t.Fatalf("seed %d: %d probes, %d within the target row: too few to test", seed, probes, sameRow)
 		}
+	}
+}
+
+// TestDiceRowCachePatchMatchesScan: the row cache patches the free runs
+// of the rows a dicing move touches instead of rescanning them, so after
+// every probe, kept move and revert each cached row must equal a fresh
+// scan. The probes are those of TestProbePhiMatchesFullRelabel; then the
+// dicing attempts themselves run on each layout, with the same check after
+// every attempt.
+func TestDiceRowCachePatchMatchesScan(t *testing.T) {
+	cases := []struct {
+		chains, stages int
+		util           float64
+	}{
+		{6, 5, 0.45},
+		{8, 7, 0.60},
+		{10, 6, 0.72},
+		{4, 12, 0.55},
+	}
+	var scan []layout.SiteRun
+	totalAttempts := 0
+	check := func(l *layout.Layout, rc *diceRowCache, what string) {
+		t.Helper()
+		for r := 0; r < l.NumRows; r++ {
+			if !rc.runsValid[r] {
+				t.Fatalf("%s: row %d dropped from the cache", what, r)
+			}
+			scan = l.AppendFreeRuns(r, scan[:0])
+			if !slices.Equal(rc.runs[r], scan) {
+				t.Fatalf("%s: row %d cached %v, scan %v", what, r, rc.runs[r], scan)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		c := cases[int(seed)%len(cases)]
+		l := buildDesign(t, c.chains, c.stages, c.util, seed)
+		rng := rand.New(rand.NewSource(seed))
+		var e shiftEngine
+		d := &e.dice
+		d.cache.reset(l.NumRows)
+		d.relabel(l)
+		probes, sameRow, bothSides := 0, 0, 0
+		for step := 0; step < 1000; step++ {
+			target := &d.a.runs[rng.Intn(len(d.a.runs))]
+			row := rng.Intn(l.NumRows)
+			if rng.Intn(2) == 0 { // bias toward split donors
+				row = target.row + rng.Intn(3) - 1
+				if row < 0 || row >= l.NumRows {
+					continue
+				}
+			}
+			donors := d.rowDonors(l, row)
+			if len(donors) == 0 {
+				continue
+			}
+			dn := &donors[rng.Intn(len(donors))]
+			w := dn.in.Master.WidthSites
+			if w >= target.length {
+				continue
+			}
+			at := target.start + rng.Intn(target.length-w+1)
+			what := fmt.Sprintf("seed %d step %d: %s (%d,%d) -> (%d,%d)", seed, step, dn.in.Name, dn.row, dn.site, target.row, at)
+			if err := d.move(l, dn.in, dn.row, dn.site, target.row, at); err != nil {
+				t.Fatal(err)
+			}
+			check(l, &d.cache, what+" probe")
+			probes++
+			if dn.row == target.row {
+				sameRow++
+			}
+			if l.Free(dn.row, dn.site-1) && l.Free(dn.row, dn.site+w) {
+				bothSides++
+			}
+			if rng.Intn(4) == 0 { // keep the move
+				d.relabel(l)
+				check(l, &d.cache, what+" kept")
+				continue
+			}
+			if err := d.move(l, dn.in, target.row, at, dn.row, dn.site); err != nil {
+				t.Fatal(err)
+			}
+			check(l, &d.cache, what+" revert")
+		}
+		if probes < 100 || sameRow == 0 || bothSides == 0 {
+			t.Fatalf("seed %d: %d probes, %d within the target row, %d freeing a cell between two runs: too few to test",
+				seed, probes, sameRow, bothSides)
+		}
+
+		Preprocess(l)
+		d.relabel(l)
+		_, phi := exploitablePotential(d.a.weights, 10)
+		attempts := 0
+		for ; attempts < 200; attempts++ {
+			ti, accepted := d.attempt(l, 10, phi)
+			if ti < 0 {
+				break
+			}
+			check(l, &d.cache, fmt.Sprintf("seed %d attempt %d (kept %v)", seed, attempts, accepted))
+			if accepted {
+				d.relabel(l)
+				_, phi = exploitablePotential(d.a.weights, 10)
+			} else {
+				d.skipped[ti] = true
+			}
+		}
+		totalAttempts += attempts
+	}
+	if totalAttempts < 100 {
+		t.Fatalf("%d dicing attempts over all layouts: too few to test", totalAttempts)
 	}
 }
 
