@@ -1,17 +1,21 @@
 package gdsiiguard
 
 import (
+	"reflect"
 	"testing"
 
+	"gdsiiguard/internal/core"
 	"gdsiiguard/internal/nsga2"
 )
 
 // TestBenchmarkFrontUnchangedByDelta is the golden-front gate on real seed
-// designs: exploring a built-in benchmark with cross-chromosome delta
-// evaluation (the default) must produce exactly the Pareto front that
-// from-scratch evaluation produces — same chromosomes, same metrics — while
-// actually reusing work. This is the end-to-end complement to the
-// synthetic-design equivalence tests in internal/core and internal/nsga2.
+// designs: every configuration an exploration of a built-in benchmark
+// evaluates on its memo-backed arenas must carry exactly the metrics
+// core.Run computes for it on a fresh clone, the exploration must actually
+// reuse work, and its whole trajectory — front, evaluations, final
+// population, cache hits — must be the same with 4 evaluations in flight
+// as with 1. This is the end-to-end complement to the synthetic-design
+// equivalence tests in internal/core and internal/nsga2.
 func TestBenchmarkFrontUnchangedByDelta(t *testing.T) {
 	designs := []string{"PRESENT"}
 	if !testing.Short() {
@@ -24,42 +28,72 @@ func TestBenchmarkFrontUnchangedByDelta(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := nsga2.Options{PopSize: 8, Generations: 3, Seed: 1}
-			plainOpt := opt
-			plainOpt.DisableDelta = true
-
-			delta, err := nsga2.Optimize(d.base, opt)
-			if err != nil {
-				t.Fatalf("delta Optimize: %v", err)
-			}
-			plain, err := nsga2.Optimize(d.base, plainOpt)
-			if err != nil {
-				t.Fatalf("plain Optimize: %v", err)
-			}
-
-			if len(delta.Evaluations) != len(plain.Evaluations) {
-				t.Fatalf("evaluation counts differ: %d != %d", len(delta.Evaluations), len(plain.Evaluations))
-			}
-			if len(delta.Front) != len(plain.Front) {
-				t.Fatalf("front sizes differ: %d != %d", len(delta.Front), len(plain.Front))
-			}
-			for i := range plain.Front {
-				g, w := delta.Front[i], plain.Front[i]
-				if g.Params.Key() != w.Params.Key() {
-					t.Errorf("front[%d]: params %s != %s", i, g.Params.Key(), w.Params.Key())
+			explore := func(parallelism int) (*nsga2.RunLog, exploreFingerprint) {
+				t.Helper()
+				var last *nsga2.Checkpoint
+				opt := nsga2.Options{PopSize: 8, Generations: 3, Seed: 1, Parallelism: parallelism,
+					Checkpoint: func(cp *nsga2.Checkpoint) error { last = cp; return nil }}
+				log, err := nsga2.Optimize(d.base, opt)
+				if err != nil {
+					t.Fatalf("Optimize (Parallelism %d): %v", parallelism, err)
 				}
-				gm, wm := g.Metrics, w.Metrics
-				gm.Runtime, wm.Runtime = 0, 0
-				if gm != wm {
-					t.Errorf("front[%d] (%s): metrics %+v != %+v", i, g.Params.Key(), gm, wm)
+				return log, fingerprintOf(log, last.Population)
+			}
+			par, parFP := explore(4)
+			if _, seqFP := explore(1); !reflect.DeepEqual(parFP, seqFP) {
+				t.Errorf("Parallelism 4 run diverged from Parallelism 1 run\n got: %+v\nwant: %+v", parFP, seqFP)
+			}
+
+			for _, in := range par.Evaluations {
+				want, err := core.Run(d.base, in.Params)
+				if err != nil {
+					t.Fatalf("core.Run (%s): %v", in.Params.Key(), err)
+				}
+				got, w := in.Metrics, want.Metrics
+				got.Runtime, w.Runtime = 0, 0
+				if got != w {
+					t.Errorf("%s: metrics %+v != core.Run's %+v", in.Params.Key(), got, w)
 				}
 			}
-			st := delta.Delta
+			st := par.Delta
 			t.Logf("%s delta stats: %+v", name, st)
-			if st.OpMemoHits+st.OpArenaHits+st.OpIterSteps == 0 {
+			if st.OpMemoHits+st.OpIterSteps == 0 {
 				t.Error("exploration exercised no operator reuse")
 			}
 		})
+	}
+}
+
+// exploreFingerprint is the deterministic content of an exploration.
+type exploreFingerprint struct {
+	Front, Evaluations, Final []explorePoint
+	CacheHits                 int
+}
+
+// explorePoint is one individual without its wall time.
+type explorePoint struct {
+	Key        string
+	Metrics    core.Metrics
+	Feasible   bool
+	Violation  float64
+	Generation int
+}
+
+func fingerprintOf(log *nsga2.RunLog, final []nsga2.Individual) exploreFingerprint {
+	points := func(ins []nsga2.Individual) []explorePoint {
+		out := make([]explorePoint, len(ins))
+		for i, in := range ins {
+			m := in.Metrics
+			m.Runtime = 0
+			out[i] = explorePoint{in.Params.Key(), m, in.Feasible, in.Violation, in.Generation}
+		}
+		return out
+	}
+	return exploreFingerprint{
+		Front:       points(log.Front),
+		Evaluations: points(log.Evaluations),
+		Final:       points(final),
+		CacheHits:   log.CacheHits,
 	}
 }
 
@@ -67,10 +101,10 @@ func TestBenchmarkFrontUnchangedByDelta(t *testing.T) {
 // real benchmark designs: how many configurations it evaluates, how large
 // its front is, and what cross-chromosome delta evaluation reused. The
 // counts are deterministic at Parallelism 1 and do not depend on the
-// machine's CPU count (with more evaluations in flight, which arena holds
-// an operator placement depends on scheduling, so the memo/arena split
-// would not be). A change that makes the exploration evaluate more, route
-// more nets or reuse less fails here.
+// machine's CPU count (with more evaluations in flight, which of two
+// concurrent evaluations runs a shared LDA prefix depends on scheduling,
+// so the run/hit split would not be). A change that makes the exploration
+// evaluate more, route more nets or reuse less fails here.
 func TestShortExploreWorkGolden(t *testing.T) {
 	golden := []struct {
 		design      string
@@ -78,8 +112,8 @@ func TestShortExploreWorkGolden(t *testing.T) {
 		front       int
 		delta       DeltaStats
 	}{
-		{"PRESENT", 14, 1, DeltaStats{OpRuns: 3, OpMemoHits: 2, OpArenaHits: 9, NetsRerouted: 7728}},
-		{"openMSP430_1", 15, 1, DeltaStats{OpRuns: 3, OpMemoHits: 2, OpArenaHits: 10, NetsRerouted: 12555}},
+		{"PRESENT", 14, 1, DeltaStats{OpRuns: 3, OpMemoHits: 11, NetsRerouted: 7728}},
+		{"openMSP430_1", 15, 1, DeltaStats{OpRuns: 3, OpMemoHits: 12, NetsRerouted: 12555}},
 	}
 	for _, g := range golden {
 		t.Run(g.design, func(t *testing.T) {

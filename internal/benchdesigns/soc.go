@@ -76,15 +76,6 @@ func SoCSpecOf(name string) (SoCSpec, error) {
 	return SoCSpec{}, fmt.Errorf("benchdesigns: unknown SoC design %q", name)
 }
 
-// SoCNames returns the SoC-scale design names in suite order.
-func SoCNames() []string {
-	out := make([]string, len(SoCSpecs))
-	for i, s := range SoCSpecs {
-		out[i] = s.Name
-	}
-	return out
-}
-
 // SoCDesign is one generated, placed and constrained SoC-scale benchmark.
 type SoCDesign struct {
 	Spec   SoCSpec

@@ -18,12 +18,12 @@ import (
 //
 //   - Operator (Scratch.applyOperator): the post-operator placement — a
 //     diff against the baseline (layout.DiffPlacements) plus the operator
-//     telemetry — is memoized by Params.OpKey(). The arena may already
-//     hold it; otherwise the diff is replayed through the journal
-//     (layout.ApplyMoves). LDA keys form chains (LDA:N:k+1 extends LDA:N:k
-//     by one ldaIteration), so a miss can extend the arena's current chain
-//     in place or resume from the deepest memoized prefix. Only a full
-//     miss runs the operator from the baseline.
+//     telemetry — is memoized by Params.OpKey(). Every evaluation rewinds
+//     the arena to the baseline and replays the memoized diff through the
+//     journal (layout.ApplyMoves). LDA keys form chains (LDA:N:k+1 extends
+//     LDA:N:k by one ldaIteration), so a miss resumes from the deepest
+//     memoized prefix. Only a full miss runs the operator from the
+//     baseline.
 //   - Route (routeStage): the placement-derived route.Geometry is memoized
 //     per OpKey; the route itself always runs cold on it.
 //
@@ -50,11 +50,12 @@ type DeltaStats struct {
 	// OpMemoHits counts operator placements replayed from the shared memo
 	// (exact OpKey hits and LDA prefix replays).
 	OpMemoHits int `json:"op_memo_hits"`
-	// OpArenaHits counts evaluations whose arena already held the operator
-	// placement from a previous evaluation — no rollback, no replay.
+	// OpArenaHits is always 0: every evaluation takes its operator
+	// placement from the memo. The field stays so reports that read it
+	// keep their shape.
 	OpArenaHits int `json:"op_arena_hits"`
-	// OpIterSteps counts LDA iterations executed on top of a reused prefix
-	// (memoized or in-arena) rather than as part of a full chain.
+	// OpIterSteps counts LDA iterations executed on top of a memoized
+	// prefix rather than as part of a full chain.
 	OpIterSteps int `json:"op_iter_steps"`
 	// RoutesWarm is always 0: delta evaluation routes cold. The field
 	// stays so reports that read it keep their shape.
@@ -207,48 +208,13 @@ func (m *StageMemo) geometry(opKey string, l *layout.Layout) *route.Geometry {
 	return g
 }
 
-// adopt records the arena's new post-operator state and its journal mark,
-// so subsequent evaluations sharing the OpKey skip the operator entirely.
-func (s *Scratch) adopt(opKey string, cs CellShiftResult, lda LDAResult) {
-	s.haveCur = true
-	s.curOpKey = opKey
-	s.curCS, s.curLDA = cs, lda
-	s.opMark = s.l.JournalMark()
-}
-
-// rewindOperator returns the arena to the baseline placement.
-func (s *Scratch) rewindOperator() {
-	s.haveCur = false
-	s.curOpKey = ""
-	s.l.RollbackJournal(0)
-	s.opMark = 0
-}
-
-// applyOperator brings the arena to the post-operator placement for p:
-// in order of preference, the placement is already in the arena, the
-// arena's LDA chain is extended in place, the memoized diff (or a
-// memoized LDA prefix) is replayed, or the operator runs from the
-// baseline — publishing what it computed for every later evaluation.
+// applyOperator brings the arena, just rewound to the baseline, to the
+// post-operator placement for p: the memoized diff is replayed, or the
+// operator runs — for LDA from the deepest memoized prefix of its chain —
+// publishing what it computed for every later evaluation.
 func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) error {
-	l, memo := s.l, s.memo
+	l, base, memo := s.l, s.base, s.memo
 	opKey := p.OpKey()
-
-	if s.haveCur && s.curOpKey == opKey {
-		res.CSResult, res.LDAResult = s.curCS, s.curLDA
-		s.stats.OpArenaHits++
-		deltaOperator.With("arena_hit").Inc()
-		return nil
-	}
-	if s.haveCur && p.Op == LDA {
-		if n, it, ok := ParseLDAOpKey(s.curOpKey); ok && n == p.LDAGridN && it < p.LDAIters {
-			_, lda, diff := s.computeOp(p, it, s.curLDA)
-			memo.publishOpIfAbsent(opKey, diff, lda)
-			res.LDAResult = lda
-			deltaOperator.With("arena_extend").Inc()
-			return nil
-		}
-	}
-	s.rewindOperator()
 
 	entry, claimed := memo.claimOp(opKey)
 	if !claimed {
@@ -263,7 +229,6 @@ func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) erro
 		if err := l.ApplyMoves(entry.diff); err != nil {
 			return err
 		}
-		s.adopt(opKey, entry.cs, entry.lda)
 		res.CSResult, res.LDAResult = entry.cs, entry.lda
 		s.stats.OpMemoHits++
 		deltaOperator.With("memo_hit").Inc()
@@ -295,28 +260,18 @@ func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) erro
 		s.stats.OpRuns++
 		deltaOperator.With("run").Inc()
 	}
-	cs, lda, diff := s.computeOp(p, from, lda)
-	memo.publishOp(entry, diff, cs, lda)
-	published = true
-	res.CSResult, res.LDAResult = cs, lda
-	return nil
-}
-
-// computeOp runs p's operator on the arena — for LDA, from iteration from
-// on top of the arena's acc — publishing every intermediate LDA chain link
-// it completes, and adopts the result as the arena's lineage. Iterations
-// run on a reused prefix count as OpIterSteps.
-func (s *Scratch) computeOp(p Params, from int, acc LDAResult) (CellShiftResult, LDAResult, []layout.InstMove) {
-	l, base := s.l, s.base
-	cs, lda := runOperator(l, base, p, from, acc, func(next int, lda LDAResult) {
+	// Every intermediate LDA chain link completed on the way is published
+	// too; iterations run on a reused prefix count as OpIterSteps.
+	cs, lda := runOperator(l, base, p, from, lda, func(next int, lda LDAResult) {
 		if from > 0 {
 			s.stats.OpIterSteps++
 		}
 		if next < p.LDAIters {
-			s.memo.publishOpIfAbsent(LDAOpKey(p.LDAGridN, next), layout.DiffPlacements(base.Layout, l), lda)
+			memo.publishOpIfAbsent(LDAOpKey(p.LDAGridN, next), layout.DiffPlacements(base.Layout, l), lda)
 		}
 	})
-	diff := layout.DiffPlacements(base.Layout, l)
-	s.adopt(p.OpKey(), cs, lda)
-	return cs, lda, diff
+	memo.publishOp(entry, layout.DiffPlacements(base.Layout, l), cs, lda)
+	published = true
+	res.CSResult, res.LDAResult = cs, lda
+	return nil
 }

@@ -35,8 +35,8 @@ func mutateOneGene(p Params, rng *rand.Rand) Params {
 // TestDeltaChainMatchesScratch is the delta path's equivalence gate: a
 // chain of single-gene parent→child mutations evaluated incrementally on
 // a delta arena (operator memo, geometry reuse) must be bit-identical,
-// link by link, to from-scratch evaluation of the same chromosomes — and
-// the chain must actually exercise operator reuse.
+// link by link, to Run's evaluation of the same chromosomes on a fresh
+// clone — and the chain must actually exercise operator reuse.
 func TestDeltaChainMatchesScratch(t *testing.T) {
 	l := buildDesign(t, 6, 5, 0.5, 3)
 	base, err := EvalBaseline(l, flowConfig(5))
@@ -47,7 +47,6 @@ func TestDeltaChainMatchesScratch(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	delta := NewScratch(base)
-	plain := NewScratchPlain(base)
 
 	p := DefaultParams(k)
 	for link := 0; link < 24; link++ {
@@ -55,9 +54,9 @@ func TestDeltaChainMatchesScratch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("link %d (%s): delta: %v", link, p.Key(), err)
 		}
-		want, err := plain.Run(p)
+		want, err := Run(base, p)
 		if err != nil {
-			t.Fatalf("link %d (%s): plain: %v", link, p.Key(), err)
+			t.Fatalf("link %d (%s): Run: %v", link, p.Key(), err)
 		}
 		sameMetrics(t, p.Key(), got.Metrics, want.Metrics)
 		if got.CSResult != want.CSResult {
@@ -71,7 +70,7 @@ func TestDeltaChainMatchesScratch(t *testing.T) {
 
 	st := delta.Stats()
 	t.Logf("delta stats: %+v", st)
-	if st.OpMemoHits+st.OpArenaHits+st.OpIterSteps == 0 {
+	if st.OpMemoHits+st.OpIterSteps == 0 {
 		t.Error("chain exercised no operator reuse at all")
 	}
 	if err := base.Layout.Validate(); err != nil {
@@ -80,10 +79,10 @@ func TestDeltaChainMatchesScratch(t *testing.T) {
 }
 
 // TestDeltaRecoversAfterFailures injects a mid-operator panic and a route
-// error into a delta arena holding lineage state, and checks that the
-// journal rollback restores a state from which subsequent evaluations are
-// still bit-identical to from-scratch ones — including re-evaluating the
-// very chromosome that failed.
+// error into a delta arena, and checks that the journal rollback restores
+// a state from which subsequent evaluations are still bit-identical to
+// Run's on a fresh clone — including re-evaluating the very chromosome
+// that failed.
 func TestDeltaRecoversAfterFailures(t *testing.T) {
 	l := buildDesign(t, 6, 5, 0.5, 3)
 	base, err := EvalBaseline(l, flowConfig(5))
@@ -92,7 +91,6 @@ func TestDeltaRecoversAfterFailures(t *testing.T) {
 	}
 	k := base.Layout.Lib().NumLayers()
 	delta := NewScratch(base)
-	plain := NewScratchPlain(base)
 
 	lda := DefaultParams(k)
 	lda.Op = LDA
@@ -100,12 +98,12 @@ func TestDeltaRecoversAfterFailures(t *testing.T) {
 	deeper := lda.Clone()
 	deeper.LDAIters = 3
 
-	// Seed lineage: the arena now holds lda's chain.
+	// Memoize lda's chain, so deeper resumes from its prefix.
 	if _, err := delta.Run(lda); err != nil {
 		t.Fatal(err)
 	}
 
-	// Extending the chain dies mid-iteration inside ECO placement.
+	// Resuming the chain dies mid-iteration inside ECO placement.
 	fault.Arm(map[fault.Point]fault.Rule{fault.PlaceECO: {Every: 1, Limit: 1, Panic: true}})
 	if _, err := delta.Run(deeper); err == nil {
 		fault.Disarm()
@@ -126,9 +124,9 @@ func TestDeltaRecoversAfterFailures(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delta after failures (%s): %v", p.Key(), err)
 		}
-		want, err := plain.Run(p)
+		want, err := Run(base, p)
 		if err != nil {
-			t.Fatalf("plain (%s): %v", p.Key(), err)
+			t.Fatalf("Run (%s): %v", p.Key(), err)
 		}
 		sameMetrics(t, "post-failure "+p.Key(), got.Metrics, want.Metrics)
 		if got.LDAResult != want.LDAResult {
@@ -139,7 +137,7 @@ func TestDeltaRecoversAfterFailures(t *testing.T) {
 
 // TestDeltaMemoSharedAcrossArenas runs concurrent arenas over one baseline
 // — the exploration loop's worker shape — and checks every result against
-// a from-scratch evaluation. Run under -race this also exercises the
+// Run's evaluation on a fresh clone. Run under -race this also exercises the
 // memo's singleflight protocol.
 func TestDeltaMemoSharedAcrossArenas(t *testing.T) {
 	l := buildDesign(t, 6, 5, 0.5, 3)
@@ -176,11 +174,10 @@ func TestDeltaMemoSharedAcrossArenas(t *testing.T) {
 	}
 	wg.Wait()
 
-	plain := NewScratchPlain(base)
 	for i, p := range params {
-		want, err := plain.Run(p)
+		want, err := Run(base, p)
 		if err != nil {
-			t.Fatalf("plain (%s): %v", p.Key(), err)
+			t.Fatalf("Run (%s): %v", p.Key(), err)
 		}
 		for w := 0; w < workers; w++ {
 			if len(results[w]) <= i {

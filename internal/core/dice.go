@@ -366,33 +366,37 @@ func (e *shiftEngine) diceResidual(l *layout.Layout, threshER, maxMoves int) int
 
 // attempt makes one dicing attempt on the labeling d.a, whose potential is
 // phi: it picks the target run and probes up to four donors into it,
-// keeping the first move that lowers Φ and reverting the others. It
-// returns the target's run id (-1 when none is left) and whether a move
-// was kept.
+// keeping the first move that lowers Φ and rolling the others back through
+// the journal, so a rejected probe leaves no journal record. It returns
+// the target's run id (-1 when none is left) and whether a move was kept.
 func (d *diceScratch) attempt(l *layout.Layout, threshER int, phi int64) (ti int, accepted bool) {
 	ti = pickTarget(&d.a, threshER, d.skipped)
 	if ti < 0 {
 		return ti, false
 	}
+	// A nested journal level: an enclosing journal (CellShift's, an
+	// arena's) keeps the kept move's record.
+	l.BeginJournal()
+	defer l.EndJournal()
 	target := &d.a.runs[ti]
 	for _, cd := range d.donorCandidates(l, threshER, target, 4) {
 		dn := cd.dn
-		at := splitPosition(target, dn.in.Master.WidthSites, threshER)
+		w := dn.in.Master.WidthSites
+		at := splitPosition(target, w, threshER)
 		if at < 0 {
 			break
 		}
+		mark := l.JournalMark()
 		if err := d.move(l, dn.in, dn.row, dn.site, target.row, at); err != nil {
 			continue
 		}
 		if d.probePhi(l, threshER, phi, target, dn) < phi {
 			return ti, true
 		}
-		// No improvement: revert.
-		if err := d.move(l, dn.in, target.row, at, dn.row, dn.site); err != nil {
-			// The origin should always be free again; if not, keep the
-			// move rather than corrupting state.
-			return ti, true
-		}
+		// No improvement: revert the layout and the row cache.
+		l.RollbackJournal(mark)
+		d.cache.vacate(target.row, at, w)
+		d.cache.occupy(dn.row, dn.site, w)
 	}
 	return ti, false
 }

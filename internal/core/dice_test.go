@@ -452,6 +452,56 @@ func TestDiceAttemptAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestDiceRejectedAttemptLeavesJournal: a rejected probe is rolled back
+// through the journal, so under an enclosing journal an attempt that keeps
+// no move leaves the journal exactly as long as it found it and the
+// placement unchanged, while a kept move stays recorded.
+func TestDiceRejectedAttemptLeavesJournal(t *testing.T) {
+	placements := func(l *layout.Layout) []layout.Placement {
+		out := make([]layout.Placement, len(l.Netlist.Insts))
+		for i, in := range l.Netlist.Insts {
+			out[i] = l.PlacementOf(in)
+		}
+		return out
+	}
+	rejected := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		l := buildDesign(t, 8, 7, 0.6, seed)
+		Preprocess(l)
+		l.BeginJournal()
+		var e shiftEngine
+		d := &e.dice
+		d.cache.reset(l.NumRows)
+		d.relabel(l)
+		_, phi := exploitablePotential(d.a.weights, 10)
+		for attempts := 0; attempts < 200; attempts++ {
+			n, before := l.JournalLen(), placements(l)
+			ti, accepted := d.attempt(l, 10, phi)
+			if ti < 0 {
+				break
+			}
+			switch got := l.JournalLen(); {
+			case accepted && got == n:
+				t.Fatalf("seed %d: kept move on run %d left no journal record", seed, ti)
+			case accepted:
+				d.relabel(l)
+				_, phi = exploitablePotential(d.a.weights, 10)
+			case got != n:
+				t.Fatalf("seed %d: rejected attempt on run %d: JournalLen %d, want %d", seed, ti, got, n)
+			case !slices.Equal(placements(l), before):
+				t.Fatalf("seed %d: rejected attempt on run %d moved a cell", seed, ti)
+			default:
+				rejected++
+				d.skipped[ti] = true
+			}
+		}
+		l.EndJournal()
+	}
+	if rejected == 0 {
+		t.Fatal("no rejected attempt to check")
+	}
+}
+
 // BenchmarkDiceResidual measures the whole dicing stage on the layout the
 // row passes leave, rolled back through the journal after each run.
 // TestDiceAttemptAllocatesNothing gates its attempts' allocations.

@@ -34,24 +34,21 @@ type entryPoint struct {
 	prepare func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error)
 }
 
-// entryPoints covers the three ways a chromosome reaches the pipeline: a
-// fresh clone, a plain arena, and a delta arena on its second evaluation,
-// when the arena already holds the operator placement and the route stage
-// reads the memoized geometry.
+// entryPoints covers the two ways a chromosome reaches the pipeline: a
+// fresh clone, and an arena on its second evaluation, when the operator
+// placement is replayed from the memo and the route stage reads the
+// memoized geometry.
 var entryPoints = []entryPoint{
 	{"Run", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
 		return func(p Params) (*Result, error) { return Run(base, p) }
-	}},
-	{"NewScratchPlain", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
-		return NewScratchPlain(base).Run
 	}},
 	{"NewScratch second evaluation", func(t *testing.T, base *Baseline, p Params) func(Params) (*Result, error) {
 		s := NewScratch(base)
 		if _, err := s.Run(p); err != nil {
 			t.Fatal(err)
 		}
-		if s.Lineage() != p.OpKey() {
-			t.Fatalf("first delta evaluation left lineage %q, want %q", s.Lineage(), p.OpKey())
+		if e := base.Memo().readyOp(p.OpKey()); e == nil {
+			t.Fatal("first delta evaluation memoized no operator placement")
 		}
 		if base.Memo().geos[p.OpKey()] == nil {
 			t.Fatal("first delta evaluation memoized no route geometry")

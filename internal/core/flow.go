@@ -203,8 +203,8 @@ func Evaluate(l *layout.Layout, base *Baseline, res *Result) error {
 // run executes the whole flow for Run, RunCtx and Scratch.RunCtx. It
 // validates p, materializes the working layout (a fresh clone when s is
 // nil, otherwise the rewound arena), preprocesses it, applies the operator
-// — through the stage memo when s has one, directly otherwise — installs
-// the NDR scale vector (Routing Width Scaling) and evaluates the result.
+// — through the stage memo on an arena, directly on a clone — installs the
+// NDR scale vector (Routing Width Scaling) and evaluates the result.
 func run(ctx context.Context, base *Baseline, s *Scratch, p Params) (*Result, error) {
 	if err := p.Validate(base.Layout.Lib().NumLayers()); err != nil {
 		return nil, &FlowError{Stage: StageValidate, Class: ClassPermanent, Err: err}
@@ -213,17 +213,11 @@ func run(ctx context.Context, base *Baseline, s *Scratch, p Params) (*Result, er
 		return nil, err
 	}
 	var l *layout.Layout
-	var d *Scratch // s, when it evaluates through the stage memo
-	switch {
-	case s == nil:
+	if s == nil {
 		l = base.Layout.Clone()
-	case s.memo == nil:
+	} else {
 		s.reset()
 		l = s.l
-		deltaEvals.With("scratch").Inc()
-	default:
-		s.reset()
-		l, d = s.l, s
 		deltaEvals.With("delta").Inc()
 	}
 	start := time.Now()
@@ -231,8 +225,8 @@ func run(ctx context.Context, base *Baseline, s *Scratch, p Params) (*Result, er
 
 	res := &Result{Layout: l, Params: p.Clone()}
 	if err := timedStage(StageOperator, func() error {
-		if d != nil {
-			return d.applyOperator(ctx, p, res)
+		if s != nil {
+			return s.applyOperator(ctx, p, res)
 		}
 		res.CSResult, res.LDAResult = runOperator(l, base, p, 0, LDAResult{}, nil)
 		return nil
@@ -245,7 +239,7 @@ func run(ctx context.Context, base *Baseline, s *Scratch, p Params) (*Result, er
 
 	// Routing Width Scaling: install the NDR, then (re-)route under it.
 	copy(l.NDR.Scale, p.ScaleM)
-	if err := evaluate(ctx, l, base.Config, base, d, res); err != nil {
+	if err := evaluate(ctx, l, base.Config, base, s, res); err != nil {
 		return nil, err
 	}
 	res.Metrics.Runtime = time.Since(start)
@@ -274,10 +268,10 @@ func runOperator(l *layout.Layout, base *Baseline, p Params, from int, acc LDARe
 // and classified, and ctx is observed between stages. ref is the baseline
 // the metrics are normalized against; nil evaluates the baseline itself
 // (Security is 1.0 by construction and the timing analysis levelizes the
-// graph). d is the delta arena whose memoized route geometry the route
-// stage reuses; nil builds the geometry afresh. The result's
-// Metrics.Runtime is the wall time of the evaluation itself (run widens it
-// to the whole flow).
+// graph). d is the arena whose memoized route geometry (keyed by
+// res.Params' OpKey) the route stage reuses; nil builds the geometry
+// afresh. The result's Metrics.Runtime is the wall time of the evaluation
+// itself (run widens it to the whole flow).
 func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, res *Result) (err error) {
 	start := time.Now()
 	end := beginEval()
@@ -294,7 +288,7 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 		f     func() (err error)
 	}{
 		{StageRoute, func() (err error) {
-			routes, err = routeStage(l, cfg, d)
+			routes, err = routeStage(l, cfg, d, res.Params)
 			return err
 		}},
 		{StageTiming, func() (err error) {
@@ -345,14 +339,14 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 	return nil
 }
 
-// routeStage routes l under its installed NDR. Without a delta arena it
-// builds the placement geometry; a delta arena reuses the memoized
-// geometry of its operator placement and counts the routed nets.
-func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch) (*route.Result, error) {
+// routeStage routes l under its installed NDR. Without an arena it builds
+// the placement geometry; an arena reuses the memoized geometry of p's
+// operator placement and counts the routed nets.
+func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch, p Params) (*route.Result, error) {
 	if d == nil {
 		return route.RouteWithGeometry(l, cfg.RouteOpts, route.BuildGeometry(l))
 	}
-	routes, err := route.RouteWithGeometry(l, cfg.RouteOpts, d.memo.geometry(d.curOpKey, l))
+	routes, err := route.RouteWithGeometry(l, cfg.RouteOpts, d.memo.geometry(p.OpKey(), l))
 	if err != nil {
 		return nil, err
 	}

@@ -28,17 +28,15 @@ var (
 	evalsInflightPeak = obs.Default().Gauge(
 		"gdsiiguard_flow_evals_inflight_peak",
 		"High watermark of concurrently executing layout evaluations.").With()
-	// deltaEvals splits arena evaluations into delta (memo-backed) vs
-	// scratch (full from-baseline) runs.
+	// deltaEvals counts arena (stage-memoized) evaluations; every one is
+	// labeled mode="delta".
 	deltaEvals = obs.Default().Counter(
 		"gdsiiguard_delta_evaluations_total",
-		"Arena evaluations by mode: delta (stage-memoized) or scratch.",
+		"Arena evaluations by mode: delta (stage-memoized).",
 		"mode")
 	// deltaOperator records how each delta evaluation satisfied its
 	// operator stage: run (computed in full), memo_hit (diff replay),
-	// prefix_hit (LDA chain resumed from a memoized prefix), arena_hit
-	// (placement already in the arena), arena_extend (LDA chain extended
-	// in place).
+	// prefix_hit (LDA chain resumed from a memoized prefix).
 	deltaOperator = obs.Default().Counter(
 		"gdsiiguard_delta_operator_total",
 		"Operator-stage outcomes of delta evaluations.",

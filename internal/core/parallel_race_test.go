@@ -53,14 +53,13 @@ func TestConcurrentArenasWithParallelRouteSTA(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Sequential reference: one memo-less arena with parallel STA forced
+	// Sequential reference: Run on fresh clones with parallel STA forced
 	// off. Parallel-under-concurrency must reproduce it exactly.
 	sta.SetWorkers(1)
-	plain := NewScratchPlain(base)
 	for i, p := range params {
-		want, err := plain.Run(p)
+		want, err := Run(base, p)
 		if err != nil {
-			t.Fatalf("plain (%s): %v", p.Key(), err)
+			t.Fatalf("Run (%s): %v", p.Key(), err)
 		}
 		for w := 0; w < workers; w++ {
 			if len(results[w]) <= i {

@@ -15,7 +15,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 )
 
 // Operator selects the ECO placement operator.
@@ -152,18 +151,6 @@ func (p Params) OpKey() string {
 // and iteration counts (the memo uses it to name intermediate chain links).
 func LDAOpKey(gridN, iters int) string {
 	return fmt.Sprintf("LDA:%d:%d", gridN, iters)
-}
-
-// ParseLDAOpKey parses an LDA OpKey back into its grid and iteration
-// counts; ok is false for anything else (including "CS" and "").
-func ParseLDAOpKey(key string) (gridN, iters int, ok bool) {
-	if !strings.HasPrefix(key, "LDA:") {
-		return 0, 0, false
-	}
-	if _, err := fmt.Sscanf(key, "LDA:%d:%d", &gridN, &iters); err != nil {
-		return 0, 0, false
-	}
-	return gridN, iters, true
 }
 
 // ScaleKey returns the canonical identity of the routing-width genes

@@ -26,9 +26,8 @@ import (
 type Scratch struct {
 	base *Baseline
 	l    *layout.Layout
-	// memo is the baseline's shared cross-chromosome stage cache; nil
-	// disables delta evaluation (every stage runs from the baseline
-	// placement, exactly as for a fresh clone).
+	// memo is the baseline's shared cross-chromosome stage cache, the
+	// source of every evaluation's operator placement and route geometry.
 	memo *StageMemo
 
 	// Pristine state the arena is rewound to before each evaluation.
@@ -36,44 +35,18 @@ type Scratch struct {
 	baseScale     []float64
 	baseBlockages []layout.Blockage
 
-	// Arena lineage: the post-operator state currently materialized in l.
-	// haveCur means the journal up to opMark reproduces curOpKey's
-	// placement (with its curCS/curLDA telemetry), so an evaluation with
-	// the same operator genes rolls back only past the route/evaluate
-	// mutations and skips the operator stage entirely, and a longer LDA
-	// chain extends in place. Cleared on any rewind to the baseline; an
-	// errored evaluation leaves it intact only if the operator stage
-	// completed (the state is still the committed one).
-	haveCur  bool
-	curOpKey string
-	curCS    CellShiftResult
-	curLDA   LDAResult
-	opMark   int
-
 	stats DeltaStats
 }
 
-// NewScratch builds a delta-evaluating arena over the baseline: operator
-// placements and route geometry are shared through the baseline's
-// StageMemo. The baseline layout itself is never modified.
+// NewScratch builds an arena over the baseline: operator placements and
+// route geometry are shared through the baseline's StageMemo. The baseline
+// layout itself is never modified.
 func NewScratch(base *Baseline) *Scratch {
-	s := newScratch(base)
-	s.memo = base.Memo()
-	return s
-}
-
-// NewScratchPlain builds an arena that evaluates every chromosome from
-// scratch (no memo, no lineage reuse). Results are bit-identical to
-// NewScratch's; this exists for A/B verification and as an escape hatch.
-func NewScratchPlain(base *Baseline) *Scratch {
-	return newScratch(base)
-}
-
-func newScratch(base *Baseline) *Scratch {
 	l := base.Layout.Clone()
 	s := &Scratch{
 		base:          base,
 		l:             l,
+		memo:          base.Memo(),
 		baseFixed:     make([]bool, len(l.Netlist.Insts)),
 		baseScale:     append([]float64(nil), l.NDR.Scale...),
 		baseBlockages: append([]layout.Blockage(nil), l.Blockages...),
@@ -87,37 +60,18 @@ func newScratch(base *Baseline) *Scratch {
 	return s
 }
 
-// Lineage reports the OpKey of the post-operator placement currently held
-// by the arena ("" when the arena is at the baseline). Exploration loops
-// use it to route a child chromosome to the arena already holding its
-// parent's placement.
-func (s *Scratch) Lineage() string {
-	if !s.haveCur {
-		return ""
-	}
-	return s.curOpKey
-}
-
 // Stats returns what this arena's delta evaluations reused so far.
 func (s *Scratch) Stats() DeltaStats { return s.stats }
 
-// reset rewinds the arena to its pristine (clone-time) state — or, when
-// the arena holds a committed post-operator placement, only back to it:
-// the non-journaled snapshots (Fixed flags, NDR scale, blockages) are
-// restored either way, because the post-operator placement by
-// construction has baseline Fixed flags and no blockages (operators unpin
-// and clear blockages before committing).
+// reset rewinds the arena to its pristine (clone-time) state: placement
+// through the journal, and the non-journaled Fixed flags, NDR scale and
+// blockages from their snapshots.
 func (s *Scratch) reset() {
 	l := s.l
 	if !l.Journaling() {
 		l.BeginJournal()
 	}
-	if s.haveCur {
-		l.RollbackJournal(s.opMark)
-	} else {
-		l.RollbackJournal(0)
-		s.opMark = 0
-	}
+	l.RollbackJournal(0)
 	for i, in := range l.Netlist.Insts {
 		in.Fixed = s.baseFixed[i]
 	}

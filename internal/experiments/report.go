@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"gdsiiguard/internal/core"
@@ -175,19 +174,6 @@ func (s *Suite) SummaryReport() string {
 			o.TNS, g.TNS, dp, g.DRC)
 	}
 	return b.String()
-}
-
-// SortResults orders the suite's results to match the requested design
-// order (parallel evaluation preserves order already; this is a guard for
-// subsets).
-func (s *Suite) SortResults(order []string) {
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	sort.SliceStable(s.Results, func(i, j int) bool {
-		return pos[s.Results[i].Name] < pos[s.Results[j].Name]
-	})
 }
 
 func clip(s string, n int) string {

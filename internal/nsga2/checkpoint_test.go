@@ -17,15 +17,12 @@ import (
 // time of the producing evaluation) plus the rank/crowding scratch, which
 // is internal working state recomputed at the top of every generation —
 // a resume that lands after the final generation never recomputes it.
-// parentOp is likewise a transient placement hint (it steers delta arenas,
-// never results) and is deliberately absent from checkpoints.
 func stripRuntime(ins []Individual) []Individual {
 	out := append([]Individual(nil), ins...)
 	for i := range out {
 		out[i].Metrics.Runtime = 0
 		out[i].rank = 0
 		out[i].crowding = 0
-		out[i].parentOp = ""
 	}
 	return out
 }

@@ -70,12 +70,6 @@ type Options struct {
 	// checkpoint's; the resumed run's trajectory is bit-identical to the
 	// uninterrupted run's.
 	Resume *Checkpoint
-	// DisableDelta turns off cross-chromosome delta evaluation: every
-	// chromosome runs from scratch on its arena (core.NewScratchPlain)
-	// instead of as a delta from memoized relatives (core.NewScratch).
-	// Results are bit-identical either way — this is the A/B escape hatch
-	// and the reference side of the equivalence tests.
-	DisableDelta bool
 }
 
 func (o Options) withDefaults() Options {
@@ -133,13 +127,6 @@ type Individual struct {
 
 	rank     int
 	crowding float64
-	// parentOp is the operator-gene key (core.Params.OpKey) of the
-	// tournament parent this child was bred from. It is a delta-evaluation
-	// placement hint only — evaluation routes the child to an arena whose
-	// journal already holds a related placement — and is deliberately
-	// unexported: it never serializes into checkpoints, and results are
-	// bit-identical with or without it.
-	parentOp string
 }
 
 // Objectives returns the two minimized objectives (security, −TNS).
@@ -162,8 +149,9 @@ type RunLog struct {
 	// to infeasible individuals instead of aborting the run.
 	Failures []EvalFailure
 	// Delta aggregates what delta evaluation reused across the run's
-	// arenas — operator runs, memo and arena hits, routed nets (zero when
-	// Options.DisableDelta is set).
+	// arenas — operator runs, memo hits, routed nets. OpArenaHits is
+	// always 0: every evaluation takes its operator placement from the
+	// baseline's stage memo.
 	Delta core.DeltaStats
 }
 
@@ -367,52 +355,18 @@ type evaluator struct {
 	scratches []*core.Scratch
 }
 
-// getScratch checks an arena out of the free list — preferring, in order,
-// one whose journal already holds the chromosome's exact post-operator
-// placement, one holding an extendable prefix of its LDA chain, then one
-// holding the tournament parent's placement (parentOp hint) — and builds
-// a new arena on first use per concurrent worker. The preference is a
-// pure placement optimization: results are bit-identical whichever arena
-// evaluates the chromosome.
-func (ev *evaluator) getScratch(opKey, parentOp string) *core.Scratch {
+// getScratch checks an arena out of the free list, building a new one on
+// first use per concurrent worker. Every arena rewinds to the baseline
+// before each evaluation, so any arena evaluates any chromosome.
+func (ev *evaluator) getScratch() *core.Scratch {
 	ev.scratchMu.Lock()
 	defer ev.scratchMu.Unlock()
 	if n := len(ev.scratches); n > 0 {
-		pick, best := n-1, 0
-		for i, s := range ev.scratches {
-			lin := s.Lineage()
-			score := 0
-			switch {
-			case lin == opKey && lin != "":
-				score = 3
-			case ldaExtends(lin, opKey):
-				score = 2
-			case lin == parentOp && lin != "":
-				score = 1
-			}
-			if score > best {
-				pick, best = i, score
-			}
-		}
-		s := ev.scratches[pick]
-		ev.scratches = append(ev.scratches[:pick], ev.scratches[pick+1:]...)
+		s := ev.scratches[n-1]
+		ev.scratches = ev.scratches[:n-1]
 		return s
 	}
-	if ev.opt.DisableDelta {
-		return core.NewScratchPlain(ev.base)
-	}
 	return core.NewScratch(ev.base)
-}
-
-// ldaExtends reports whether an arena holding lineage lin can extend its
-// LDA chain in place into opKey (same grid, strictly fewer iterations).
-func ldaExtends(lin, opKey string) bool {
-	ln, li, ok := core.ParseLDAOpKey(lin)
-	if !ok {
-		return false
-	}
-	on, oi, ok := core.ParseLDAOpKey(opKey)
-	return ok && ln == on && li < oi
 }
 
 func (ev *evaluator) putScratch(s *core.Scratch) {
@@ -428,14 +382,8 @@ func (ev *evaluator) putScratch(s *core.Scratch) {
 // one fresh re-evaluation per later generation it reappears in, so a
 // transient failure cannot permanently poison a point of the search space.
 func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) error {
-	type job struct {
-		params core.Params
-		// parentOp is the delta-evaluation placement hint of the first
-		// individual carrying this key (see Individual.parentOp).
-		parentOp string
-	}
 	var fresh []string
-	seen := map[string]job{}
+	seen := map[string]core.Params{}
 	for _, in := range pop {
 		key := in.Params.Key()
 		if _, dup := seen[key]; dup {
@@ -449,7 +397,7 @@ func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) er
 			delete(ev.cache, key)
 			nsga2Evals.With("retried").Inc()
 		}
-		seen[key] = job{params: in.Params, parentOp: in.parentOp}
+		seen[key] = in.Params
 		fresh = append(fresh, key)
 	}
 	sort.Strings(fresh)
@@ -474,8 +422,7 @@ func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) er
 					errs <- err
 					return
 				}
-				j := seen[key]
-				err := ev.evalFresh(ctx, j.params, j.parentOp, key, gen)
+				err := ev.evalFresh(ctx, seen[key], key, gen)
 				ev.budget.Release()
 				if err != nil {
 					errs <- err
@@ -539,8 +486,8 @@ func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) er
 // retries degrades the individual instead of aborting the run (see
 // degrade). Only context cancellation and the aggregate failure-rate cap
 // abort the batch.
-func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, parentOp, key string, gen int) error {
-	scratch := ev.getScratch(p.OpKey(), parentOp)
+func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, key string, gen int) error {
+	scratch := ev.getScratch()
 	defer ev.putScratch(scratch)
 	var res *core.Result
 	var err error
@@ -747,9 +694,7 @@ func makeOffspring(pop []*Individual, k int, rng *rand.Rand, opt Options) []*Ind
 		}
 		mutate(&c1, k, rng, opt.MutationP)
 		mutate(&c2, k, rng, opt.MutationP)
-		out = append(out,
-			&Individual{Params: c1, parentOp: p1.Params.OpKey()},
-			&Individual{Params: c2, parentOp: p2.Params.OpKey()})
+		out = append(out, &Individual{Params: c1}, &Individual{Params: c2})
 	}
 	return out[:opt.PopSize]
 }

@@ -277,8 +277,8 @@ type explorationJSON struct {
 	// Failures counts evaluations that failed and were degraded during
 	// the exploration (see RunLog.Failures).
 	Failures int `json:"failures,omitempty"`
-	// Delta reports cross-chromosome evaluation reuse (operator memo and
-	// arena hits, routed nets); see gdsiiguard.DeltaStats.
+	// Delta reports cross-chromosome evaluation reuse (operator memo
+	// hits, routed nets); see gdsiiguard.DeltaStats.
 	Delta gdsiiguard.DeltaStats `json:"delta"`
 }
 
