@@ -71,8 +71,6 @@ func main() {
 		cacheSize    = flag.Int("cache", 8, "design cache capacity")
 		retention    = flag.Int("retention", 256, "finished jobs kept in the result store")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown drain budget")
-		maxAttempts  = flag.Int("max-attempts", 2, "execution attempts per job (transient failures only)")
-		retryBackoff = flag.Duration("retry-backoff", 250*time.Millisecond, "base delay before a transient-failure retry")
 		withPprof    = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 		logLevel     = flag.String("log-level", "info", "structured log level (debug, info, warn, error)")
 		stateDir     = flag.String("state-dir", "", "durable state directory: jobs and exploration checkpoints survive restarts (empty: in-memory only)")
@@ -92,13 +90,11 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := service.Config{
-		Workers:      *workers,
-		QueueDepth:   *queue,
-		JobTimeout:   *jobTimeout,
-		CacheSize:    *cacheSize,
-		Retention:    *retention,
-		MaxAttempts:  *maxAttempts,
-		RetryBackoff: *retryBackoff,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		JobTimeout: *jobTimeout,
+		CacheSize:  *cacheSize,
+		Retention:  *retention,
 	}
 	if *stateDir != "" {
 		st, err := durable.Open(*stateDir)

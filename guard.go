@@ -125,17 +125,11 @@ func (p *FlowParams) toCore(k int) (core.Params, error) {
 	return out, out.Validate(k)
 }
 
-// ErrorClass reports how a flow failure is classified: "transient"
-// failures are safe to retry, "permanent" ones are deterministic for the
-// input, "panic" marks a panic contained inside a flow stage, and
-// "canceled" marks context cancellation or deadline expiry. It returns ""
-// for nil. Callers can use it to decide between retrying a Harden/Explore
-// call and giving up.
+// ErrorClass reports how a flow failure is classified: "permanent"
+// failures are deterministic for the input, "panic" marks a panic
+// contained inside a flow stage, and "canceled" marks context
+// cancellation or deadline expiry. It returns "" for nil.
 func ErrorClass(err error) string { return string(core.Classify(err)) }
-
-// IsTransient reports whether err classifies as a transient failure, i.e.
-// retrying the same call can succeed.
-func IsTransient(err error) bool { return core.IsTransient(err) }
 
 // Design is a placed, constrained benchmark design with its evaluated
 // baseline.
@@ -283,8 +277,8 @@ type Exploration struct {
 	Evaluations int
 	// Knee indexes the knee-point solution in Front (-1 if empty).
 	Knee int
-	// Failures counts evaluations that failed after retries and were
-	// degraded to infeasible points instead of aborting the exploration.
+	// Failures counts evaluations that failed and were degraded to
+	// infeasible points instead of aborting the exploration.
 	Failures int
 	// Delta reports cross-chromosome evaluation reuse (see DeltaStats).
 	Delta DeltaStats

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"sync"
 
 	"gdsiiguard/internal/layout"
@@ -74,36 +73,28 @@ func (d *DeltaStats) Add(o DeltaStats) {
 	d.NetsRerouted += o.NetsRerouted
 }
 
-// errOpAborted is what waiters on a shared operator computation see when
-// the computing evaluation failed; it is transient because the entry is
-// removed and the next attempt recomputes.
-var errOpAborted = &FlowError{
-	Stage: StageOperator,
-	Class: ClassTransient,
-	Err:   errors.New("shared operator computation aborted"),
-}
-
 // StageMemo is the cross-chromosome per-stage cache shared by every
 // evaluation arena over one baseline. Safe for concurrent use.
 type StageMemo struct {
 	mu sync.Mutex
 	// ops memoizes post-operator placements by OpKey with per-key
 	// singleflight: the first evaluation computes, concurrent ones wait on
-	// the entry, later ones replay.
+	// the entry, later ones replay. A waiter whose computer failed claims
+	// the key and computes it itself.
 	ops map[string]*opEntry
 	// geos memoizes the placement-derived route geometry by OpKey.
 	geos map[string]*route.Geometry
 }
 
 // opEntry is one memoized operator output. ready closes when the compute
-// finishes; after that, err != nil means the compute failed (the entry is
-// also removed from the map, so the next evaluation retries).
+// finishes; after that, failed means the compute was abandoned (the entry
+// is already gone from the map, so the next claim computes).
 type opEntry struct {
-	ready chan struct{}
-	diff  []layout.InstMove
-	cs    CellShiftResult
-	lda   LDAResult
-	err   error
+	ready  chan struct{}
+	diff   []layout.InstMove
+	cs     CellShiftResult
+	lda    LDAResult
+	failed bool
 }
 
 func newStageMemo() *StageMemo {
@@ -145,7 +136,7 @@ func (m *StageMemo) readyOp(key string) *opEntry {
 	}
 	select {
 	case <-e.ready:
-		if e.err != nil {
+		if e.failed {
 			return nil
 		}
 		return e
@@ -160,16 +151,16 @@ func (m *StageMemo) publishOp(e *opEntry, diff []layout.InstMove, cs CellShiftRe
 	close(e.ready)
 }
 
-// failOp abandons a claimed entry: waiters get err and the key is removed
-// so the next evaluation recomputes.
-func (m *StageMemo) failOp(key string, e *opEntry, err error) {
-	e.err = err
-	close(e.ready)
+// failOp abandons a claimed entry. The key is removed before ready closes,
+// so a woken waiter that claims again finds it absent and computes.
+func (m *StageMemo) failOp(key string, e *opEntry) {
 	m.mu.Lock()
 	if m.ops[key] == e {
 		delete(m.ops, key)
 	}
 	m.mu.Unlock()
+	e.failed = true
+	close(e.ready)
 }
 
 // publishOpIfAbsent records an intermediate LDA chain link computed as a
@@ -211,35 +202,37 @@ func (m *StageMemo) geometry(opKey string, l *layout.Layout) *route.Geometry {
 // applyOperator brings the arena, just rewound to the baseline, to the
 // post-operator placement for p: the memoized diff is replayed, or the
 // operator runs — for LDA from the deepest memoized prefix of its chain —
-// publishing what it computed for every later evaluation.
+// publishing what it computed for every later evaluation. A waiter whose
+// computer failed claims the key again; a waiter computes nothing while it
+// waits, so claiming cannot deadlock.
 func (s *Scratch) applyOperator(ctx context.Context, p Params, res *Result) error {
 	l, base, memo := s.l, s.base, s.memo
 	opKey := p.OpKey()
 
 	entry, claimed := memo.claimOp(opKey)
-	if !claimed {
+	for !claimed {
 		select {
 		case <-entry.ready:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if entry.err != nil {
-			return entry.err
+		if !entry.failed {
+			if err := l.ApplyMoves(entry.diff); err != nil {
+				return err
+			}
+			res.CSResult, res.LDAResult = entry.cs, entry.lda
+			s.stats.OpMemoHits++
+			deltaOperator.With("memo_hit").Inc()
+			return nil
 		}
-		if err := l.ApplyMoves(entry.diff); err != nil {
-			return err
-		}
-		res.CSResult, res.LDAResult = entry.cs, entry.lda
-		s.stats.OpMemoHits++
-		deltaOperator.With("memo_hit").Inc()
-		return nil
+		entry, claimed = memo.claimOp(opKey)
 	}
 
 	// This evaluation owns the computation.
 	published := false
 	defer func() {
 		if !published {
-			memo.failOp(opKey, entry, errOpAborted)
+			memo.failOp(opKey, entry)
 		}
 	}()
 

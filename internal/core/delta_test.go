@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -185,5 +186,72 @@ func TestDeltaMemoSharedAcrossArenas(t *testing.T) {
 			}
 			sameMetrics(t, p.Key(), results[w][i], want.Metrics)
 		}
+	}
+}
+
+// waitSignalCtx closes waiting the first time the flow asks for its Done
+// channel. The flow observes ctx only through Err until an arena blocks on
+// a shared operator computation, so waiting closing means the arena holds
+// the owner's memo entry and is about to wait on it.
+type waitSignalCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func (c *waitSignalCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestDeltaWaiterComputesAfterOwnerFails plays the owner of an operator
+// computation by hand and abandons it while an arena waits on it. The
+// waiter must compute the operator itself and match Run on a fresh clone.
+func TestDeltaWaiterComputesAfterOwnerFails(t *testing.T) {
+	l := buildDesign(t, 6, 5, 0.5, 3)
+	base, err := EvalBaseline(l, flowConfig(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams(base.Layout.Lib().NumLayers())
+	p.Op = LDA
+	p.LDAGridN, p.LDAIters = LDAGridValues[1], 2
+
+	memo := base.Memo()
+	entry, claimed := memo.claimOp(p.OpKey())
+	if !claimed {
+		t.Fatal("a fresh memo already held the key")
+	}
+	s := NewScratch(base)
+	ctx := &waitSignalCtx{Context: context.Background(), waiting: make(chan struct{})}
+	type outcome struct {
+		res *Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.RunCtx(ctx, p)
+		done <- outcome{res, err}
+	}()
+	<-ctx.waiting
+	memo.failOp(p.OpKey(), entry)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("waiter of a failed owner: %v", got.err)
+	}
+
+	want, err := Run(base, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMetrics(t, p.Key(), got.res.Metrics, want.Metrics)
+	if got.res.LDAResult != want.LDAResult {
+		t.Errorf("LDAResult %+v != %+v", got.res.LDAResult, want.LDAResult)
+	}
+	if st := s.Stats(); st.OpRuns != 1 || st.OpMemoHits != 0 {
+		t.Errorf("waiter stats %+v, want one operator run and no memo hit", st)
+	}
+	if memo.readyOp(p.OpKey()) == nil {
+		t.Error("the waiter did not publish what it computed")
 	}
 }

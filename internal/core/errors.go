@@ -25,13 +25,10 @@ const (
 )
 
 // ErrClass is the failure taxonomy used by callers to decide between
-// retry, degradation and abort.
+// degradation and abort.
 type ErrClass string
 
 const (
-	// ClassTransient failures are safe to retry: re-running the same
-	// evaluation can succeed (injected faults, resource exhaustion).
-	ClassTransient ErrClass = "transient"
 	// ClassPermanent failures are deterministic for the input: retrying
 	// the same evaluation fails again (bad parameters, unroutable design).
 	ClassPermanent ErrClass = "permanent"
@@ -80,15 +77,9 @@ func (e *FlowPanicError) Unwrap() error {
 	return nil
 }
 
-// transienter is implemented by errors that declare themselves safe to
-// retry — notably internal/fault's injected errors. It is structural on
-// purpose so core does not depend on the fault package.
-type transienter interface{ Transient() bool }
-
 // Classify maps any error onto the taxonomy. Stage-tagged errors keep the
-// class assigned at the stage boundary; untagged errors classify as
-// transient only when they implement Transient() true; context errors are
-// ClassCanceled; everything else is permanent.
+// class assigned at the stage boundary; context errors are ClassCanceled;
+// everything else is permanent.
 func Classify(err error) ErrClass {
 	if err == nil {
 		return ""
@@ -103,10 +94,6 @@ func Classify(err error) ErrClass {
 	var fe *FlowError
 	if errors.As(err, &fe) {
 		return fe.Class
-	}
-	var tr transienter
-	if errors.As(err, &tr) && tr.Transient() {
-		return ClassTransient
 	}
 	return ClassPermanent
 }
@@ -123,9 +110,6 @@ func StageOf(err error) Stage {
 	}
 	return ""
 }
-
-// IsTransient reports whether err is safe to retry.
-func IsTransient(err error) bool { return Classify(err) == ClassTransient }
 
 // runStage executes one flow stage with panic containment and class
 // tagging: a panic inside f becomes a *FlowPanicError, a returned error is

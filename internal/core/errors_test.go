@@ -166,8 +166,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{"plain", errors.New("boom"), ClassPermanent},
 		{"canceled", context.Canceled, ClassCanceled},
 		{"wrapped deadline", fmt.Errorf("job: %w", context.DeadlineExceeded), ClassCanceled},
-		{"transient marker", &fakeTransient{}, ClassTransient},
-		{"flow error keeps class", &FlowError{Stage: StageRoute, Class: ClassTransient, Err: errors.New("x")}, ClassTransient},
+		{"flow error keeps class", &FlowError{Stage: StageRoute, Class: ClassPanic, Err: errors.New("x")}, ClassPanic},
 		{"panic", &FlowPanicError{Stage: StageTiming, Value: "v"}, ClassPanic},
 	}
 	for _, c := range cases {
@@ -175,18 +174,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 			t.Errorf("%s: Classify = %q, want %q", c.name, got, c.want)
 		}
 	}
-	if IsTransient(&fakeTransient{}) != true {
-		t.Error("IsTransient(transient marker) = false")
-	}
-	if IsTransient(errors.New("boom")) {
-		t.Error("IsTransient(plain error) = true")
-	}
 }
-
-type fakeTransient struct{}
-
-func (*fakeTransient) Error() string   { return "fake transient" }
-func (*fakeTransient) Transient() bool { return true }
 
 func TestValidateErrorIsStageTagged(t *testing.T) {
 	base := testBaseline(t)

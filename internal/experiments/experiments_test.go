@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -167,6 +168,57 @@ func TestExportJSONAndCSV(t *testing.T) {
 	if !strings.Contains(csv.String(), "0.100000,10.000,true") ||
 		!strings.Contains(csv.String(), "0.500000,5.000,false") {
 		t.Errorf("CSV content wrong:\n%s", csv.String())
+	}
+}
+
+// TestGuardFallbackIsLabelled: a design whose exploration kept no feasible
+// point reports the identity Cell Shift run as its GDSII-Guard row; Table II
+// marks that entry and the JSON export flags it, while a design with a
+// selected solution carries neither mark.
+func TestGuardFallbackIsLabelled(t *testing.T) {
+	base := &core.Baseline{Metrics: core.Metrics{ERSites: 100, ERTracks: 10}}
+	rows := func(guardTNS float64) map[string]core.Metrics {
+		out := map[string]core.Metrics{}
+		for _, row := range RowOrder {
+			out[row] = core.Metrics{ERSites: 50, ERTracks: 5, TNS: -1}
+		}
+		out[RowGuard] = core.Metrics{ERSites: 20, ERTracks: 2, TNS: guardTNS}
+		return out
+	}
+	sel := nsga2.Individual{Params: core.DefaultParams(10)}
+	suite := &Suite{Results: []*DesignResult{
+		{Name: "PICKED", Baseline: base, Metrics: rows(-7), Selected: &sel},
+		{Name: "FALLBACK", Baseline: base, Metrics: rows(-9)},
+	}}
+
+	rep := suite.Table2Report()
+	if !strings.Contains(rep, "-9.0*") || strings.Contains(rep, "-7.0*") {
+		t.Errorf("Table II marks the wrong GDSII-Guard entry:\n%s", rep)
+	}
+	if !strings.Contains(rep, guardFallbackNote) {
+		t.Errorf("Table II lacks the fallback footnote:\n%s", rep)
+	}
+	if rep := (&Suite{Results: suite.Results[:1]}).Table2Report(); strings.Contains(rep, "*") {
+		t.Errorf("Table II without a fallback carries a mark:\n%s", rep)
+	}
+
+	var buf strings.Builder
+	if err := suite.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Designs []struct {
+			Name          string `json:"name"`
+			GuardFallback bool   `json:"guard_fallback"`
+		} `json:"designs"`
+	}
+	if err := json.Unmarshal([]byte(buf.String()), &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range out.Designs {
+		if want := d.Name == "FALLBACK"; d.GuardFallback != want {
+			t.Errorf("%s: guard_fallback = %v, want %v", d.Name, d.GuardFallback, want)
+		}
 	}
 }
 

@@ -17,6 +17,9 @@ type designJSON struct {
 	Name     string                `json:"name"`
 	Rows     map[string]metricJSON `json:"rows"`
 	Selected string                `json:"selected_params,omitempty"`
+	// GuardFallback marks a GDSII-Guard row that is the identity Cell
+	// Shift run because the exploration kept no feasible point.
+	GuardFallback bool `json:"guard_fallback,omitempty"`
 }
 
 type metricJSON struct {
@@ -51,6 +54,8 @@ func (s *Suite) WriteJSON(w io.Writer) error {
 		}
 		if d.Selected != nil {
 			dj.Selected = d.Selected.Params.Key()
+		} else {
+			dj.GuardFallback = true
 		}
 		out.Designs = append(out.Designs, dj)
 	}

@@ -40,9 +40,16 @@ func (s *Suite) Fig4Report() string {
 	return b.String()
 }
 
+// guardFallbackNote footnotes a GDSII-Guard entry marked "*": the
+// exploration kept no feasible point, so the entry is the identity Cell
+// Shift run rather than a selected Pareto solution.
+const guardFallbackNote = "* no feasible Pareto point: the GDSII-Guard entry is the identity Cell Shift run\n"
+
 // Table2Report renders Table II: TNS, power and #DRC per design and row.
+// A GDSII-Guard entry of a design with no selected solution is marked "*".
 func (s *Suite) Table2Report() string {
 	var b strings.Builder
+	fallback := false
 	b.WriteString("Table II — Comparison of timing (TNS), power, and #DRC violations\n")
 	sections := []struct {
 		title string
@@ -62,13 +69,21 @@ func (s *Suite) Table2Report() string {
 			fmt.Fprintf(&b, "%-16s", row)
 			for _, d := range s.Results {
 				if m, ok := d.Metrics[row]; ok {
-					fmt.Fprintf(&b, " %12s", sec.get(m))
+					v := sec.get(m)
+					if row == RowGuard && d.Selected == nil {
+						v += "*"
+						fallback = true
+					}
+					fmt.Fprintf(&b, " %12s", v)
 				} else {
 					fmt.Fprintf(&b, " %12s", "-")
 				}
 			}
 			b.WriteString("\n")
 		}
+	}
+	if fallback {
+		b.WriteString("\n" + guardFallbackNote)
 	}
 	return b.String()
 }

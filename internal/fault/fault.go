@@ -75,9 +75,6 @@ type Rule struct {
 	// power loss, un-catchable by any defer. Used by the kill-and-restart
 	// crash harness; see ArmCrashFromEnv.
 	Crash bool
-	// Transient marks injected errors as retryable: the returned *Error
-	// reports Transient() true and classifies as a transient failure.
-	Transient bool
 	// Msg is appended to the error text when non-empty.
 	Msg string
 }
@@ -136,26 +133,17 @@ type Error struct {
 	Point Point
 	Call  uint64
 
-	transient bool
-	msg       string
+	msg string
 }
 
 // Error implements the error interface.
 func (e *Error) Error() string {
-	kind := "permanent"
-	if e.transient {
-		kind = "transient"
-	}
-	s := fmt.Sprintf("fault: injected %s failure at %s (call %d)", kind, e.Point, e.Call)
+	s := fmt.Sprintf("fault: injected failure at %s (call %d)", e.Point, e.Call)
 	if e.msg != "" {
 		s += ": " + e.msg
 	}
 	return s
 }
-
-// Transient reports whether the injected failure is safe to retry; the
-// core error taxonomy keys its classification off this method.
-func (e *Error) Transient() bool { return e.transient }
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed hash used
 // to turn (seed, counter) into a uniform decision for Rate rules.
@@ -205,7 +193,7 @@ func Hit(p Point) error {
 	} else {
 		st.fired.Add(1)
 	}
-	err := &Error{Point: p, Call: n, transient: r.Transient, msg: r.Msg}
+	err := &Error{Point: p, Call: n, msg: r.Msg}
 	if r.Crash {
 		crashNow()
 	}

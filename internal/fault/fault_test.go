@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"errors"
 	"sync"
 	"testing"
 )
@@ -89,22 +88,6 @@ func TestRateIsDeterministicPerSeed(t *testing.T) {
 	// ~30% of 200 calls; allow a wide deterministic band.
 	if len(a) < 30 || len(a) > 90 {
 		t.Errorf("rate 0.3 fired %d/200 times, want roughly 60", len(a))
-	}
-}
-
-func TestTransientMarker(t *testing.T) {
-	arm(t, map[Point]Rule{Route: {Every: 1, Transient: true}})
-	err := Hit(Route)
-	var fe *Error
-	if !errors.As(err, &fe) {
-		t.Fatalf("Hit returned %T, want *fault.Error", err)
-	}
-	if !fe.Transient() {
-		t.Error("Transient rule produced non-transient error")
-	}
-	arm(t, map[Point]Rule{Route: {Every: 1}})
-	if fe, ok := Hit(Route).(*Error); !ok || fe.Transient() {
-		t.Error("default rule should produce a permanent *Error")
 	}
 }
 

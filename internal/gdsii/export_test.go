@@ -6,28 +6,56 @@ import (
 
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
+	"gdsiiguard/internal/netlist"
 	"gdsiiguard/internal/opencell45"
-	"gdsiiguard/internal/verilog"
 )
 
-const toySrc = `
-module toy ( in0, in1, clk, out0 );
-  input in0, in1, clk ;
-  output out0 ;
-  wire n1, n2 ;
-  INV_X1 u1 ( .A(in0), .ZN(n1) );
-  NAND2_X1 u2 ( .A1(n1), .A2(in1), .ZN(n2) );
-  DFF_X1 u3 ( .D(n2), .CK(clk), .Q(out0) );
-endmodule
-`
+// ToyNetlist builds a three-cell netlist: an inverter and a NAND gate
+// feeding a flip-flop whose clock net comes from the clk port. It is
+// exported for the external gdsii_test package.
+func ToyNetlist(tb testing.TB) *netlist.Netlist {
+	tb.Helper()
+	must := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	nl := netlist.New("toy", opencell45.MustLoad())
+	for _, p := range []struct {
+		name string
+		dir  netlist.PortDir
+	}{{"in0", netlist.In}, {"in1", netlist.In}, {"clk", netlist.In}, {"out0", netlist.Out}} {
+		port, err := nl.AddPort(p.name, p.dir)
+		must(err)
+		n, err := nl.AddNet(p.name)
+		must(err)
+		must(nl.ConnectPort(port, n))
+	}
+	for _, w := range []string{"n1", "n2"} {
+		_, err := nl.AddNet(w)
+		must(err)
+	}
+	for _, c := range []struct {
+		name, master string
+		pins         [][2]string // pin, net
+	}{
+		{"u1", "INV_X1", [][2]string{{"A", "in0"}, {"ZN", "n1"}}},
+		{"u2", "NAND2_X1", [][2]string{{"A1", "n1"}, {"A2", "in1"}, {"ZN", "n2"}}},
+		{"u3", "DFF_X1", [][2]string{{"D", "n2"}, {"CK", "clk"}, {"Q", "out0"}}},
+	} {
+		in, err := nl.AddInstance(c.name, c.master)
+		must(err)
+		for _, pn := range c.pins {
+			must(nl.Connect(in, pn[0], nl.Net(pn[1])))
+		}
+	}
+	nl.Net("clk").IsClock = true
+	return nl
+}
 
 func exportToy(t *testing.T) (*layout.Layout, *Library) {
 	t.Helper()
-	lib := opencell45.MustLoad()
-	nl, err := verilog.ParseString(toySrc, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl := ToyNetlist(t)
 	nl.Instance("u3").SecurityCritical = true
 	l, _ := layout.New(nl, 4, 40)
 	_ = l.Place(nl.Instance("u1"), 0, 0)
@@ -106,8 +134,7 @@ func TestFromLayoutRoundTripsThroughBinary(t *testing.T) {
 }
 
 func TestFromLayoutRejectsBadWire(t *testing.T) {
-	lib := opencell45.MustLoad()
-	nl, _ := verilog.ParseString(toySrc, lib)
+	nl := ToyNetlist(t)
 	l, _ := layout.New(nl, 4, 40)
 	_, err := FromLayout(l, []Wire{{Metal: 1, Width: 70, Pts: []geom.Point{geom.Pt(0, 0)}}})
 	if err == nil {
@@ -116,8 +143,7 @@ func TestFromLayoutRejectsBadWire(t *testing.T) {
 }
 
 func TestFromLayoutSkipsUnplaced(t *testing.T) {
-	lib := opencell45.MustLoad()
-	nl, _ := verilog.ParseString(toySrc, lib)
+	nl := ToyNetlist(t)
 	l, _ := layout.New(nl, 4, 40)
 	_ = l.Place(nl.Instance("u1"), 0, 0)
 	g, err := FromLayout(l, nil)

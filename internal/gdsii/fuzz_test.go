@@ -11,30 +11,13 @@ import (
 	"gdsiiguard/internal/gdsii"
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
-	"gdsiiguard/internal/opencell45"
-	"gdsiiguard/internal/verilog"
 )
-
-const fuzzToySrc = `
-module toy ( in0, in1, clk, out0 );
-  input in0, in1, clk ;
-  output out0 ;
-  wire n1, n2 ;
-  INV_X1 u1 ( .A(in0), .ZN(n1) );
-  NAND2_X1 u2 ( .A1(n1), .A2(in1), .ZN(n2) );
-  DFF_X1 u3 ( .D(n2), .CK(clk), .Q(out0) );
-endmodule
-`
 
 // designSeed exports a small placed design — the shape of every real
 // stream the codec sees in the flow.
 func designSeed(f *testing.F) []byte {
 	f.Helper()
-	lib := opencell45.MustLoad()
-	nl, err := verilog.ParseString(fuzzToySrc, lib)
-	if err != nil {
-		f.Fatal(err)
-	}
+	nl := gdsii.ToyNetlist(f)
 	nl.Instance("u3").SecurityCritical = true
 	l, err := layout.New(nl, 4, 40)
 	if err != nil {

@@ -7,28 +7,53 @@ import (
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/netlist"
 	"gdsiiguard/internal/opencell45"
-	"gdsiiguard/internal/verilog"
 )
 
-const toySrc = `
-module toy ( in0, in1, clk, out0 );
-  input in0, in1, clk ;
-  output out0 ;
-  wire n1, n2 ;
-  INV_X1 u1 ( .A(in0), .ZN(n1) );
-  NAND2_X1 u2 ( .A1(n1), .A2(in1), .ZN(n2) );
-  DFF_X1 u3 ( .D(n2), .CK(clk), .Q(out0) );
-endmodule
-`
+// toyNetlist builds a three-cell netlist: an inverter and a NAND gate
+// feeding a flip-flop whose clock net comes from the clk port.
+func toyNetlist(tb testing.TB) *netlist.Netlist {
+	tb.Helper()
+	must := func(err error) {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	nl := netlist.New("toy", opencell45.MustLoad())
+	for _, p := range []struct {
+		name string
+		dir  netlist.PortDir
+	}{{"in0", netlist.In}, {"in1", netlist.In}, {"clk", netlist.In}, {"out0", netlist.Out}} {
+		port, err := nl.AddPort(p.name, p.dir)
+		must(err)
+		n, err := nl.AddNet(p.name)
+		must(err)
+		must(nl.ConnectPort(port, n))
+	}
+	for _, w := range []string{"n1", "n2"} {
+		_, err := nl.AddNet(w)
+		must(err)
+	}
+	for _, c := range []struct {
+		name, master string
+		pins         [][2]string // pin, net
+	}{
+		{"u1", "INV_X1", [][2]string{{"A", "in0"}, {"ZN", "n1"}}},
+		{"u2", "NAND2_X1", [][2]string{{"A1", "n1"}, {"A2", "in1"}, {"ZN", "n2"}}},
+		{"u3", "DFF_X1", [][2]string{{"D", "n2"}, {"CK", "clk"}, {"Q", "out0"}}},
+	} {
+		in, err := nl.AddInstance(c.name, c.master)
+		must(err)
+		for _, pn := range c.pins {
+			must(nl.Connect(in, pn[0], nl.Net(pn[1])))
+		}
+	}
+	nl.Net("clk").IsClock = true
+	return nl
+}
 
 func toyLayout(t testing.TB) *Layout {
 	t.Helper()
-	lib := opencell45.MustLoad()
-	nl, err := verilog.ParseString(toySrc, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := New(nl, 4, 40)
+	l, err := New(toyNetlist(t), 4, 40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,14 +48,9 @@ type Options struct {
 	Budget *EvalBudget
 	// Seed drives all stochastic choices.
 	Seed int64
-	// EvalRetries is how many times a transient evaluation failure
-	// (core.ClassTransient) is retried before the individual degrades to
-	// an infeasible marker (default 1; negative disables retries).
-	EvalRetries int
 	// MaxFailureRate aborts the run when more than this fraction of all
-	// fresh evaluations have failed after retries, checked once at least
-	// PopSize evaluations were attempted (default 0.5; values ≥ 1 never
-	// abort). Failures below the threshold degrade: the individual is
+	// fresh evaluations have failed, checked once at least PopSize
+	// evaluations were attempted (default 0.5; values ≥ 1 never abort). Failures below the threshold degrade: the individual is
 	// marked infeasible with maximal constraint violation and recorded in
 	// RunLog.Failures, and the exploration continues.
 	MaxFailureRate float64
@@ -100,11 +95,6 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
 	}
-	if o.EvalRetries == 0 {
-		o.EvalRetries = 1
-	} else if o.EvalRetries < 0 {
-		o.EvalRetries = 0
-	}
 	if o.MaxFailureRate == 0 {
 		o.MaxFailureRate = 0.5
 	}
@@ -120,9 +110,9 @@ type Individual struct {
 	Violation float64
 	// Generation the individual was first evaluated in.
 	Generation int
-	// Failed marks an individual whose evaluation failed after retries:
-	// it carries no metrics, is infeasible with maximal violation (so
-	// selection breeds it out), and is excluded from RunLog.Evaluations.
+	// Failed marks an individual whose evaluation failed: it carries no
+	// metrics, is infeasible with maximal violation (so selection breeds
+	// it out), and is excluded from RunLog.Evaluations.
 	Failed bool
 
 	rank     int
@@ -145,8 +135,9 @@ type RunLog struct {
 	Generations int
 	// CacheHits counts chromosome re-evaluations avoided.
 	CacheHits int
-	// Failures records evaluations that failed after retries and degraded
-	// to infeasible individuals instead of aborting the run.
+	// Failures records evaluations that failed and degraded to infeasible
+	// individuals instead of aborting the run, one entry per failed
+	// evaluation.
 	Failures []EvalFailure
 	// Delta aggregates what delta evaluation reused across the run's
 	// arenas — operator runs, memo hits, routed nets. OpArenaHits is
@@ -165,10 +156,8 @@ type EvalFailure struct {
 	// Stage and Class locate and classify the failure (core taxonomy).
 	Stage core.Stage
 	Class core.ErrClass
-	// Err is the failure message; Attempts counts evaluation attempts
-	// including retries.
-	Err      string
-	Attempts int
+	// Err is the failure message.
+	Err string
 }
 
 // Optimize explores the flow parameter space for the given baseline design.
@@ -183,9 +172,8 @@ func Optimize(base *core.Baseline, opt Options) (*RunLog, error) {
 // run on journal-rewound scratch arenas (core.Scratch) — one per worker —
 // instead of cloning the baseline layout per evaluation.
 //
-// Evaluation failures degrade instead of aborting: a transient failure is
-// retried (Options.EvalRetries), anything that still fails is recorded in
-// RunLog.Failures and enters selection as an infeasible individual with
+// Evaluation failures degrade instead of aborting: a failed evaluation is
+// recorded in RunLog.Failures and enters selection as an infeasible individual with
 // maximal violation, and the exploration continues. The run errors out
 // only when ctx is cancelled or the failure rate crosses
 // Options.MaxFailureRate (an unevaluable baseline surfaces earlier, from
@@ -379,8 +367,8 @@ func (ev *evaluator) putScratch(s *core.Scratch) {
 // the worker pool (in deterministic key order for a reproducible trace),
 // then every individual is filled from the cache. A chromosome cached as
 // Failed in an *earlier* generation is not served from the cache: it gets
-// one fresh re-evaluation per later generation it reappears in, so a
-// transient failure cannot permanently poison a point of the search space.
+// one fresh re-evaluation per later generation it reappears in, so one
+// failed evaluation cannot permanently poison a point of the search space.
 func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) error {
 	var fresh []string
 	seen := map[string]core.Params{}
@@ -481,30 +469,18 @@ func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) er
 	return nil
 }
 
-// evalFresh runs one chromosome through the flow. Transient failures are
-// retried up to Options.EvalRetries times; a failure that survives the
-// retries degrades the individual instead of aborting the run (see
-// degrade). Only context cancellation and the aggregate failure-rate cap
-// abort the batch.
+// evalFresh runs one chromosome through the flow. A failure degrades the
+// individual instead of aborting the run (see degrade). Only context
+// cancellation and the aggregate failure-rate cap abort the batch.
 func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, key string, gen int) error {
 	scratch := ev.getScratch()
 	defer ev.putScratch(scratch)
-	var res *core.Result
-	var err error
-	attempts := 0
-	for {
-		attempts++
-		res, err = scratch.RunCtx(ctx, p)
-		if err == nil {
-			break
-		}
+	res, err := scratch.RunCtx(ctx, p)
+	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		if attempts <= ev.opt.EvalRetries && core.IsTransient(err) {
-			continue
-		}
-		return ev.degrade(p, key, gen, err, attempts)
+		return ev.degrade(p, key, gen, err)
 	}
 	in := &Individual{
 		Params:     p.Clone(),
@@ -526,7 +502,7 @@ func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, key string, g
 // domination breeds it out) and the failure lands in RunLog.Failures. The
 // run aborts only when the aggregate failure rate crosses
 // Options.MaxFailureRate over at least PopSize attempted evaluations.
-func (ev *evaluator) degrade(p core.Params, key string, gen int, cause error, attempts int) error {
+func (ev *evaluator) degrade(p core.Params, key string, gen int, cause error) error {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	ev.cache[key] = &Individual{
@@ -545,7 +521,6 @@ func (ev *evaluator) degrade(p core.Params, key string, gen int, cause error, at
 		Stage:      core.StageOf(cause),
 		Class:      core.Classify(cause),
 		Err:        cause.Error(),
-		Attempts:   attempts,
 	})
 	total := ev.failed + ev.succeeded
 	rate := float64(ev.failed) / float64(total)

@@ -31,33 +31,10 @@ func prewarm(t *testing.T, m *Manager) {
 	}
 }
 
-func TestTransientFailureIsRetried(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, RetryBackoff: 5 * time.Millisecond})
-	prewarm(t, m)
-	armFaults(t, map[fault.Point]fault.Rule{
-		fault.Route: {Every: 1, Limit: 1, Transient: true, Msg: "router hiccup"},
-	})
-
-	job, err := m.Submit(Spec{Kind: KindHarden, Benchmark: testBench})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, job, 2*time.Minute); got != StateDone {
-		t.Fatalf("job = %s (err %v), want %s after one retry", got, job.Err(), StateDone)
-	}
-	if job.Attempts() != 2 {
-		t.Errorf("Attempts = %d, want 2 (one transient failure, one retry)", job.Attempts())
-	}
-	if got := m.Stats().Retries; got < 1 {
-		t.Errorf("Stats().Retries = %d, want ≥ 1", got)
-	}
-	if fault.Fired(fault.Route) != 1 {
-		t.Errorf("fault fired %d times, want 1", fault.Fired(fault.Route))
-	}
-}
-
-func TestPermanentFailureIsNotRetried(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, MaxAttempts: 3, RetryBackoff: 5 * time.Millisecond})
+// TestPermanentFailureRunsOnce: a failed job execution ends the job on
+// its first attempt, classified at the flow boundary.
+func TestPermanentFailureRunsOnce(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
 	prewarm(t, m)
 	armFaults(t, map[fault.Point]fault.Rule{
 		fault.Route: {Every: 1, Msg: "congestion unroutable"},
@@ -71,7 +48,7 @@ func TestPermanentFailureIsNotRetried(t *testing.T) {
 		t.Fatalf("job = %s, want %s", got, StateFailed)
 	}
 	if job.Attempts() != 1 {
-		t.Errorf("Attempts = %d, want 1 (permanent failures must not retry)", job.Attempts())
+		t.Errorf("Attempts = %d, want 1 (a failed execution is not re-run)", job.Attempts())
 	}
 	if snap := job.Snapshot(); snap.ErrorClass != "permanent" {
 		t.Errorf("ErrorClass = %q, want %q", snap.ErrorClass, "permanent")
@@ -83,7 +60,7 @@ func TestPermanentFailureIsNotRetried(t *testing.T) {
 // "panic" while guardd keeps serving subsequent jobs, end to end through
 // the HTTP API.
 func TestPanicFailsJobNotService(t *testing.T) {
-	srv, m := newTestServer(t, Config{Workers: 1, RetryBackoff: 5 * time.Millisecond})
+	srv, m := newTestServer(t, Config{Workers: 1})
 	prewarm(t, m)
 	armFaults(t, map[fault.Point]fault.Rule{
 		fault.STA: {Every: 1, Limit: 1, Panic: true, Msg: "sta engine blew up"},
@@ -125,7 +102,7 @@ func TestPanicFailsJobNotService(t *testing.T) {
 }
 
 func TestWorkerPanicIsCountedInStats(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, RetryBackoff: 5 * time.Millisecond})
+	m := newTestManager(t, Config{Workers: 1})
 	armFaults(t, map[fault.Point]fault.Rule{
 		fault.Service: {Every: 1, Limit: 1, Panic: true},
 	})
@@ -142,38 +119,6 @@ func TestWorkerPanicIsCountedInStats(t *testing.T) {
 	}
 	if got := m.Stats().PanicsRecovered; got != 1 {
 		t.Errorf("Stats().PanicsRecovered = %d, want 1", got)
-	}
-}
-
-func TestRetryBackoffHonorsCancellation(t *testing.T) {
-	// An always-transient fault with a long backoff: without cancellation
-	// the job would sit in backoff for 30s+. Cancel must cut that short.
-	m := newTestManager(t, Config{Workers: 1, MaxAttempts: 5, RetryBackoff: 30 * time.Second})
-	armFaults(t, map[fault.Point]fault.Rule{
-		fault.Service: {Every: 1, Transient: true},
-	})
-
-	job, err := m.Submit(Spec{Kind: KindAttack, Benchmark: testBench})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Wait for the first failed attempt so the worker is inside backoff.
-	deadline := time.Now().Add(5 * time.Second)
-	for job.Attempts() < 1 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if job.Attempts() < 1 {
-		t.Fatal("job never started its first attempt")
-	}
-	start := time.Now()
-	if _, err := m.Cancel(job.ID); err != nil {
-		t.Fatal(err)
-	}
-	if got := waitTerminal(t, job, 5*time.Second); got != StateCancelled {
-		t.Fatalf("job = %s, want %s", got, StateCancelled)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("cancellation took %v, want well under the 30s backoff", elapsed)
 	}
 }
 

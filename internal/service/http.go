@@ -374,7 +374,6 @@ type statsResponse struct {
 	QueueDepth      int            `json:"queue_depth"`
 	QueueCapacity   int            `json:"queue_capacity"`
 	JobsByState     map[string]int `json:"jobs_by_state"`
-	Retries         uint64         `json:"retries"`
 	PanicsRecovered uint64         `json:"panics_recovered"`
 	CacheEntries    int            `json:"cache_entries"`
 	CacheHits       uint64         `json:"cache_hits"`
@@ -390,7 +389,6 @@ func statsJSON(s Stats) statsResponse {
 		QueueDepth:      s.QueueDepth,
 		QueueCapacity:   s.QueueCapacity,
 		JobsByState:     make(map[string]int),
-		Retries:         s.Retries,
 		PanicsRecovered: s.PanicsRecovered,
 		CacheEntries:    s.Cache.Entries,
 		CacheHits:       s.Cache.Hits,

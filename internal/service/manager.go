@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -32,15 +31,6 @@ type Config struct {
 	// Retention bounds how many finished jobs the result store keeps
 	// (default 256); the oldest finished jobs are evicted first.
 	Retention int
-	// MaxAttempts caps execution attempts per job (default 2, i.e. one
-	// retry). Only failures the core taxonomy classifies as transient are
-	// retried; permanent failures, panics, timeouts and cancellations
-	// fail the job on the first attempt.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry; it doubles per
-	// further attempt with ±50% jitter and is cut short by job
-	// cancellation (default 250ms).
-	RetryBackoff time.Duration
 	// Store, when set, makes jobs durable: specs, state transitions,
 	// exploration checkpoints and results are written to a per-job
 	// crash-safe WAL, and New replays the store — re-queueing interrupted
@@ -50,10 +40,6 @@ type Config struct {
 	// SnapshotEvery compacts a job's WAL into one snapshot record after
 	// that many persisted checkpoints (default 8).
 	SnapshotEvery int
-	// JitterSeed seeds the manager-owned retry-jitter RNG; 0 derives a
-	// seed from the clock. A fixed seed makes backoff schedules
-	// reproducible in tests.
-	JitterSeed int64
 }
 
 func (c Config) withDefaults() Config {
@@ -71,12 +57,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention <= 0 {
 		c.Retention = 256
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 2
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 8
@@ -103,12 +83,6 @@ type Manager struct {
 	baseCancel context.CancelFunc
 	wg         sync.WaitGroup
 
-	// jmu guards jrand, the manager-owned seeded RNG behind retry jitter
-	// (workers draw concurrently; the global math/rand source would make
-	// backoff schedules irreproducible even under Config.JitterSeed).
-	jmu   sync.Mutex
-	jrand *rand.Rand
-
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	finished []string // terminal job IDs in retirement order
@@ -116,9 +90,7 @@ type Manager struct {
 	busy     int
 	peakBusy int
 	closed   bool
-	// Robustness telemetry: transient-failure retries performed and
-	// panics recovered by workers since start.
-	retries         uint64
+	// panicsRecovered counts panics recovered by workers since start.
 	panicsRecovered uint64
 }
 
@@ -129,10 +101,6 @@ type Manager struct {
 func New(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
 	m := &Manager{
 		cfg:        cfg,
 		cache:      NewDesignCache(cfg.CacheSize),
@@ -140,7 +108,6 @@ func New(cfg Config) *Manager {
 		store:      cfg.Store,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		jrand:      rand.New(rand.NewSource(seed)),
 		jobs:       make(map[string]*Job),
 	}
 	if m.store != nil {
@@ -274,10 +241,8 @@ type Stats struct {
 	QueueDepth    int
 	QueueCapacity int
 	JobsByState   map[State]int
-	// Retries counts transient-failure retries performed;
-	// PanicsRecovered counts worker-level panics contained. Both since
-	// manager start.
-	Retries         uint64
+	// PanicsRecovered counts worker-level panics contained since manager
+	// start.
 	PanicsRecovered uint64
 	Cache           CacheStats
 }
@@ -293,7 +258,6 @@ func (m *Manager) Stats() Stats {
 		QueueDepth:      len(m.queue),
 		QueueCapacity:   m.cfg.QueueDepth,
 		JobsByState:     make(map[State]int),
-		Retries:         m.retries,
 		PanicsRecovered: m.panicsRecovered,
 	}
 	for _, job := range m.jobs {
@@ -343,29 +307,9 @@ func (m *Manager) runJob(job *Job) {
 	}()
 	defer execSeconds.With(string(job.Spec.Kind)).ObserveSince(started)
 
-	// Transient failures are retried with exponential backoff and jitter
-	// up to MaxAttempts; anything else terminates the job on the spot. A
-	// retry never outlives the job's context: cancellation or deadline
-	// expiry cuts the backoff sleep short.
-	var res *Result
-	var hardened *gdsiiguard.Hardened
-	var err error
-	for {
-		job.noteAttempt()
-		m.persistState(job, StateRunning, job.Attempts(), "")
-		res, hardened, err = m.executeSafe(ctx, job)
-		if err == nil || ctx.Err() != nil ||
-			job.Attempts() >= m.cfg.MaxAttempts || !core.IsTransient(err) {
-			break
-		}
-		if !m.sleepBackoff(ctx, job.Attempts()) {
-			err = ctx.Err()
-			break
-		}
-		m.mu.Lock()
-		m.retries++
-		m.mu.Unlock()
-	}
+	job.noteAttempt()
+	m.persistState(job, StateRunning, job.Attempts(), "")
+	res, hardened, err := m.executeSafe(ctx, job)
 	now := time.Now()
 	switch {
 	case err == nil:
@@ -378,36 +322,6 @@ func (m *Manager) runJob(job *Job) {
 	default:
 		job.finish(StateFailed, nil, nil, err, now)
 	}
-}
-
-// sleepBackoff waits out the backoff delay before retry attempt+1: the
-// base delay doubled per completed attempt, with ±50% jitter, capped at
-// 30s. It returns false immediately when ctx is done first.
-func (m *Manager) sleepBackoff(ctx context.Context, attempt int) bool {
-	d := m.cfg.RetryBackoff
-	for i := 1; i < attempt && d < 30*time.Second; i++ {
-		d *= 2
-	}
-	if d > 30*time.Second {
-		d = 30 * time.Second
-	}
-	// Jitter to d/2 + rand(d): desynchronizes retry storms across workers.
-	d = d/2 + m.jitter(d)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// jitter draws a uniform duration in [0, d) from the manager's seeded RNG.
-func (m *Manager) jitter(d time.Duration) time.Duration {
-	m.jmu.Lock()
-	defer m.jmu.Unlock()
-	return time.Duration(m.jrand.Int63n(int64(d)))
 }
 
 // executeSafe runs one execution attempt with worker-level panic
@@ -447,8 +361,8 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*Result, *gdsiiguard.H
 		res.Hardened = &h.Metrics
 		return res, h, nil
 	case KindExplore:
-		// The checkpoint hook always runs (cheap in-memory when the manager
-		// has no store), so a transient-failure retry resumes the
+		// The checkpoint hook always runs (in-memory only when the manager
+		// has no store), so a re-execution after a restart resumes the
 		// exploration instead of restarting it.
 		opt := job.Spec.Explore
 		opt.Checkpoint = func(blob []byte) error {

@@ -13,7 +13,7 @@ var (
 		"kind", "state")
 	jobAttempts = obs.Default().Counter(
 		"gdsiiguard_job_attempts_total",
-		"Job execution attempts, including transient-failure retries.").With()
+		"Job executions started, including re-executions of jobs re-queued after a restart.").With()
 	queueWaitSeconds = obs.Default().Histogram(
 		"gdsiiguard_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", nil).With()

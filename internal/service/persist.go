@@ -112,8 +112,7 @@ func (m *Manager) persistState(job *Job, state State, attempt int, errText strin
 }
 
 // persistCheckpoint records the latest exploration checkpoint: always
-// in-memory on the job (so a same-process retry resumes from it), and in
-// the WAL when the manager is durable. Every SnapshotEvery-th checkpoint
+// in-memory on the job, and in the WAL when the manager is durable. Every SnapshotEvery-th checkpoint
 // the log is compacted into a mid-run snapshot instead of growing
 // unboundedly. The returned error aborts the exploration — a checkpoint
 // the store cannot hold must not be silently skipped, or a crash would
@@ -346,9 +345,9 @@ func (m *Manager) recover() {
 			terminalJob[rec] = job
 			continue
 		}
-		// Queued, running or interrupted: run it (again). The attempt budget
-		// resets — a crash is a new process incarnation, not a retry of the
-		// old one — but the checkpoint carries the exploration forward.
+		// Queued, running or interrupted: run it (again). The attempt count
+		// starts over in the new process, but the checkpoint carries the
+		// exploration forward.
 		job.wal = l
 		if rec.cp != nil {
 			job.setCheckpoint(rec.cp.Scope, rec.cp.Data)

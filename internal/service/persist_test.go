@@ -65,7 +65,7 @@ func testExploreSpec() Spec {
 func interruptExplore(t *testing.T, dir string) string {
 	t.Helper()
 	st := openStore(t, dir)
-	m := New(Config{Workers: 1, QueueDepth: 4, Store: st, JitterSeed: 1})
+	m := New(Config{Workers: 1, QueueDepth: 4, Store: st})
 	job, err := m.Submit(testExploreSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func stripRuntime(ex *gdsiiguard.Exploration) *gdsiiguard.Exploration {
 // bit-identically.
 func goldenExploration(t *testing.T) *gdsiiguard.Exploration {
 	t.Helper()
-	m := newTestManager(t, Config{Workers: 1, JitterSeed: 1})
+	m := newTestManager(t, Config{Workers: 1})
 	job, err := m.Submit(testExploreSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func goldenExploration(t *testing.T) *gdsiiguard.Exploration {
 func TestDurableTerminalJobSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	m1 := New(Config{Workers: 1, Store: st, JitterSeed: 1})
+	m1 := New(Config{Workers: 1, Store: st})
 	job, err := m1.Submit(Spec{Kind: KindHarden, Benchmark: testBench})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestDurableTerminalJobSurvivesRestart(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	m2 := newTestManager(t, Config{Workers: 1, Store: st2, JitterSeed: 1})
+	m2 := newTestManager(t, Config{Workers: 1, Store: st2})
 	got, err := m2.Get(job.ID)
 	if err != nil {
 		t.Fatalf("recovered Get(%s): %v", job.ID, err)
@@ -184,7 +184,7 @@ func TestDurableInterruptedExploreResumesOnRestart(t *testing.T) {
 
 	st := openStore(t, dir)
 	t.Cleanup(func() { st.Close() })
-	m := New(Config{Workers: 1, QueueDepth: 4, Store: st, JitterSeed: 1})
+	m := New(Config{Workers: 1, QueueDepth: 4, Store: st})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -228,7 +228,7 @@ func TestDurableCorruptTailResumesFromLastCheckpoint(t *testing.T) {
 
 	st := openStore(t, dir)
 	t.Cleanup(func() { st.Close() })
-	m := New(Config{Workers: 1, QueueDepth: 4, Store: st, JitterSeed: 1})
+	m := New(Config{Workers: 1, QueueDepth: 4, Store: st})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
@@ -288,7 +288,7 @@ func TestDurableClusterCheckpointRerunsLocally(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	m := newTestManager(t, Config{Workers: 1, Store: st2, JitterSeed: 1})
+	m := newTestManager(t, Config{Workers: 1, Store: st2})
 	job, err := m.Get("job-1")
 	if err != nil {
 		t.Fatalf("cluster-era job not recovered: %v", err)
@@ -323,7 +323,7 @@ func TestDurableQuarantinesSpeclessLog(t *testing.T) {
 
 	st2 := openStore(t, dir)
 	t.Cleanup(func() { st2.Close() })
-	m := newTestManager(t, Config{Workers: 1, Store: st2, JitterSeed: 1})
+	m := newTestManager(t, Config{Workers: 1, Store: st2})
 	if _, err := m.Get("job-9"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get(quarantined) = %v, want ErrNotFound", err)
 	}
@@ -351,7 +351,7 @@ func TestRetentionEvictionConcurrent(t *testing.T) {
 	t.Cleanup(func() { st.Close() })
 	m := newTestManager(t, Config{
 		Workers: 4, QueueDepth: 32, Retention: retention,
-		Store: st, JitterSeed: 1,
+		Store: st,
 	})
 
 	var mu sync.Mutex
@@ -433,7 +433,7 @@ func TestRetentionEvictionConcurrent(t *testing.T) {
 func TestReadyzDrainThenFinalCheckpointOrdering(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	m := New(Config{Workers: 1, QueueDepth: 4, Store: st, JitterSeed: 1})
+	m := New(Config{Workers: 1, QueueDepth: 4, Store: st})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
@@ -556,7 +556,7 @@ func TestWaitReturnsAfterRetire(t *testing.T) {
 	t.Cleanup(func() { obs.SetLogger(nil) })
 	st := openStore(t, t.TempDir())
 	t.Cleanup(func() { st.Close() })
-	m := newTestManager(t, Config{Workers: 1, Store: st, JitterSeed: 1})
+	m := newTestManager(t, Config{Workers: 1, Store: st})
 	// Registered after the manager, so it runs before the manager's
 	// shutdown: a failed assertion must not leave the worker parked.
 	release := sync.OnceFunc(func() { close(h.proceed) })

@@ -156,8 +156,8 @@ type Job struct {
 	done    chan struct{}
 	retired bool
 	// resumeScope/resume hold the latest exploration checkpoint (from a
-	// recovered log or emitted live), so retries and restarts continue the
-	// run instead of starting over. ckpts counts checkpoints since the last
+	// recovered log or emitted live), so a restart continues the run
+	// instead of starting over. ckpts counts checkpoints since the last
 	// log compaction; userCancelled distinguishes a user's cancel from a
 	// shutdown drain when the terminal state is persisted.
 	resumeScope   string
@@ -190,8 +190,9 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// Attempts returns how many execution attempts the job has consumed
-// (0 while queued; >1 after transient-failure retries).
+// Attempts returns how many execution attempts the job has consumed in
+// this process: 0 while queued, 1 once it runs. A failed execution is not
+// re-run; a job re-queued after a crash restart counts from 0 again.
 func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -238,9 +239,9 @@ type Snapshot struct {
 	State State
 	Error string
 	// ErrorClass is the core error taxonomy class of a failed job
-	// ("transient", "permanent" or "panic"; empty otherwise).
+	// ("permanent" or "panic"; empty otherwise).
 	ErrorClass string
-	// Attempts counts execution attempts, including transient retries.
+	// Attempts counts execution attempts (see Job.Attempts).
 	Attempts  int
 	Submitted time.Time
 	Started   time.Time
