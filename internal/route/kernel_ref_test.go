@@ -104,7 +104,7 @@ func refRouteTwoPin(r *router, nr *NetRoute, a, b geom.Point, clock bool) {
 		}
 	}
 	for j := 1; j < len(bestPath); j++ {
-		r.commit(nr, bestPath[j-1], bestPath[j], refSegLayer(bestPath[j-1], bestPath[j], bestPair))
+		r.commit(nr, bestPath[j-1], bestPath[j], refSegLayer(bestPath[j-1], bestPath[j], bestPair), r.res.Grid.span(bestPath[j-1], bestPath[j]))
 	}
 }
 
@@ -221,10 +221,26 @@ func randomConn(rng *rand.Rand, g Grid) (geom.Point, geom.Point) {
 	return a, b
 }
 
+// withPenalties gives the router the penalty table a cold route keeps,
+// filled for its current usage.
+func withPenalties(r *router) *router {
+	r.pen = layerGrids[penalty](len(r.res.Usage), len(r.res.Usage[0]))
+	for li, pen := range r.pen {
+		for idx := range pen {
+			pen[idx] = penaltyOf(r.res.Usage[li][idx]+r.demand[li], r.res.Cap[li][idx])
+		}
+	}
+	return r
+}
+
 // TestKernelMatchesReference routes random connections with the pruned
 // kernel and the reference kernel from identical states and requires the
 // same segments and the same usage after every net, under NDR scales
-// {1, 1.2, 1.5}, for clock and signal nets.
+// {1, 1.2, 1.5}, for clock and signal nets. Every few nets both routers
+// rip up the same earlier net, so usage falls as well as rises. The
+// kernel runs once pricing from the penalty table, whose every entry must
+// then stay current, and once pricing per GCell as route.Warm does; in
+// both, run costs must equal the reference's bit for bit.
 func TestKernelMatchesReference(t *testing.T) {
 	l := placedLocalMesh(t, 8, 60, 40, 160)
 	g := buildGrid(l, Options{}.withDefaults())
@@ -238,24 +254,55 @@ func TestKernelMatchesReference(t *testing.T) {
 		}
 		l.NDR = tech.NDR{Scale: ndr}
 		base := randomCongestion(rng, g, ndr, trial%4)
-		ref, got := newRouter(l, cloneUsage(base), nil, 0), newRouter(l, cloneUsage(base), nil, 0)
-		for net := 0; net < 40; net++ {
-			clock := rng.Intn(6) == 0
-			want := &NetRoute{LenByMetal: make([]int64, layers+1)}
-			have := &NetRoute{LenByMetal: make([]int64, layers+1)}
-			for k := 0; k < 4; k++ {
-				a, b := randomConn(rng, g)
-				refRouteTwoPin(ref, want, a, b, clock)
-				got.routeTwoPin(have, a, b, clock)
+		seed := rng.Int63()
+		for _, table := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(seed))
+			ref, got := newRouter(l, cloneUsage(base), nil, 0), newRouter(l, cloneUsage(base), nil, 0)
+			if table {
+				withPenalties(got)
 			}
-			if !sameSegments(have.Segments, want.Segments) {
-				t.Fatalf("trial %d net %d (clock %v): segments\n%v\nwant\n%v",
-					trial, net, clock, have.Segments, want.Segments)
-			}
-			for li := 0; li < layers; li++ {
-				for idx := 0; idx < g.Cols*g.Rows; idx++ {
-					if u, w := got.res.Usage[li][idx], ref.res.Usage[li][idx]; u != w {
-						t.Fatalf("trial %d net %d: usage[%d][%d] %g != %g", trial, net, li, idx, u, w)
+			var wants, haves []*NetRoute
+			for net := 0; net < 40; net++ {
+				if len(wants) > 0 && rng.Intn(4) == 0 {
+					k := rng.Intn(len(wants))
+					ref.uncommit(wants[k])
+					got.uncommit(haves[k])
+					wants = append(wants[:k], wants[k+1:]...)
+					haves = append(haves[:k], haves[k+1:]...)
+				}
+				clock := rng.Intn(6) == 0
+				want := &NetRoute{LenByMetal: make([]int64, layers+1)}
+				have := &NetRoute{LenByMetal: make([]int64, layers+1)}
+				for k := 0; k < 4; k++ {
+					a, b := randomConn(rng, g)
+					// The run costs must match bit for bit, not only the
+					// choices they lead to.
+					for _, run := range [2][2]geom.Point{{a, geom.Pt(b.X, a.Y)}, {geom.Pt(b.X, a.Y), b}} {
+						m := 1 + rng.Intn(layers)
+						w := refPathCost(ref, run[0], run[1], m)
+						h, _ := got.spanCost(g.span(run[0], run[1]), m-1, 0, math.Inf(1))
+						if math.Float64bits(h) != math.Float64bits(w) {
+							t.Fatalf("trial %d table %v net %d: run %v on metal %d costs %v, reference %v", trial, table, net, run, m, h, w)
+						}
+					}
+					refRouteTwoPin(ref, want, a, b, clock)
+					got.routeTwoPin(have, a, b, clock)
+				}
+				if !sameSegments(have.Segments, want.Segments) {
+					t.Fatalf("trial %d table %v net %d (clock %v): segments\n%v\nwant\n%v",
+						trial, table, net, clock, have.Segments, want.Segments)
+				}
+				wants, haves = append(wants, want), append(haves, have)
+				for li := 0; li < layers; li++ {
+					for idx := 0; idx < g.Cols*g.Rows; idx++ {
+						u, c := got.res.Usage[li][idx], got.res.Cap[li][idx]
+						if w := ref.res.Usage[li][idx]; u != w {
+							t.Fatalf("trial %d table %v net %d: usage[%d][%d] %g != %g", trial, table, net, li, idx, u, w)
+						}
+						if table && got.pen[li][idx] != penaltyOf(u+got.demand[li], c) {
+							t.Fatalf("trial %d net %d: stale penalty[%d][%d] %+v, usage %g cap %g",
+								trial, net, li, idx, got.pen[li][idx], u, c)
+						}
 					}
 				}
 			}
@@ -270,16 +317,17 @@ func TestChooseAllocatesNothing(t *testing.T) {
 	g := buildGrid(l, Options{}.withDefaults())
 	rng := rand.New(rand.NewSource(3))
 	res := randomCongestion(rng, g, l.NDR.Scale, 1)
-	r := newRouter(l, res, nil, 0)
 	conns := [][2]geom.Point{
 		{g.Center(1, 1), g.Center(12, 17)},
 		{g.Center(3, 2), g.Center(3, 15)},
 		{g.Center(2, 9), g.Center(14, 9)},
 	}
-	for _, c := range conns {
-		for _, clock := range []bool{false, true} {
-			if n := testing.AllocsPerRun(50, func() { r.choose(c[0], c[1], clock) }); n != 0 {
-				t.Errorf("clock %v %v→%v: %v allocs per choose", clock, c[0], c[1], n)
+	for _, r := range []*router{newRouter(l, res, nil, 0), withPenalties(newRouter(l, res, nil, 0))} {
+		for _, c := range conns {
+			for _, clock := range []bool{false, true} {
+				if n := testing.AllocsPerRun(50, func() { r.choose(c[0], c[1], clock) }); n != 0 {
+					t.Errorf("table %v clock %v %v→%v: %v allocs per choose", r.pen != nil, clock, c[0], c[1], n)
+				}
 			}
 		}
 	}

@@ -10,9 +10,10 @@
 package route
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gdsiiguard/internal/fault"
 	"gdsiiguard/internal/geom"
@@ -218,16 +219,17 @@ func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry) (*Result, e
 	grid := buildGrid(l, opt)
 	res := &Result{
 		Grid:      grid,
-		Usage:     layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
-		Cap:       layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
+		Usage:     layerGrids[float64](lib.NumLayers(), grid.Cols*grid.Rows),
+		Cap:       layerGrids[float64](lib.NumLayers(), grid.Cols*grid.Rows),
 		NetRoutes: make([]*NetRoute, len(l.Netlist.Nets)),
 		Core:      l.CoreRect(),
 		NDRScale:  append([]float64(nil), l.NDR.Scale...),
 		lib:       lib,
 	}
-	fillCapacity(l, res)
-
 	r := newRouter(l, res, geo, opt.Seed)
+	r.pen = layerGrids[penalty](lib.NumLayers(), grid.Cols*grid.Rows)
+	fillCapacity(l, res, r.pen, r.demand)
+
 	r.routeAll(geo.Order)
 	for p := 0; p < opt.RipupPasses; p++ {
 		r.ripupAndReroute()
@@ -258,9 +260,9 @@ func buildGrid(l *layout.Layout, opt Options) Grid {
 
 // layerGrids returns k zeroed per-layer grids of n GCells carved from one
 // allocation, each a full slice expression (cap = n).
-func layerGrids(k, n int) [][]float64 {
-	slab := make([]float64, k*n)
-	out := make([][]float64, k)
+func layerGrids[T any](k, n int) [][]T {
+	slab := make([]T, k*n)
+	out := make([][]T, k)
 	for li := range out {
 		out[li] = slab[li*n : (li+1)*n : (li+1)*n]
 	}
@@ -271,26 +273,35 @@ func layerGrids(k, n int) [][]float64 {
 // preferred-direction tracks crossing the GCell, scaled by the fraction of
 // the GCell inside the core (boundary GCells overhang the core). Metal1
 // capacity is halved: it is mostly consumed by intra-cell routing.
-func fillCapacity(l *layout.Layout, res *Result) {
+//
+// A GCell's core fraction is the same on every layer, so it is computed
+// once per GCell. The same pass fills the penalty table pen of the empty
+// grid: usage 0 plus demand[li] is demand[li] exactly.
+func fillCapacity(l *layout.Layout, res *Result, pen [][]penalty, demand []float64) {
 	lib := l.Lib()
 	g := res.Grid
 	core := l.CoreRect()
-	for li := 0; li < lib.NumLayers(); li++ {
+	tracks := make([]float64, lib.NumLayers())
+	for li := range tracks {
 		layer := lib.Layer(li + 1)
-		var tracks float64
 		if layer.Dir == tech.Horizontal {
-			tracks = float64(g.CellH) / float64(layer.Pitch)
+			tracks[li] = float64(g.CellH) / float64(layer.Pitch)
 		} else {
-			tracks = float64(g.CellW) / float64(layer.Pitch)
+			tracks[li] = float64(g.CellW) / float64(layer.Pitch)
 		}
 		if li == 0 {
-			tracks /= 2
+			tracks[li] /= 2
 		}
-		for r := 0; r < g.Rows; r++ {
-			for c := 0; c < g.Cols; c++ {
-				cell := g.Rect(c, r)
-				frac := float64(cell.Intersect(core).Area()) / float64(cell.Area())
-				res.Cap[li][g.Index(c, r)] = tracks * frac
+	}
+	for r := 0; r < g.Rows; r++ {
+		for c := 0; c < g.Cols; c++ {
+			cell := g.Rect(c, r)
+			frac := float64(cell.Intersect(core).Area()) / float64(cell.Area())
+			idx := g.Index(c, r)
+			for li, t := range tracks {
+				capa := t * frac
+				res.Cap[li][idx] = capa
+				pen[li][idx] = penaltyOf(demand[li], capa)
 			}
 		}
 	}
@@ -312,33 +323,118 @@ type router struct {
 	// ladders[s] is the layer-pair ladder rotated to start at pair s (see
 	// buildLadders); it depends only on the library.
 	ladders [][][2]int
+	// demand[li] is the track usage one wire adds to a GCell of 0-based
+	// layer li: the layer's NDR width scale, fixed for the whole route.
+	demand []float64
+	// pen, when non-nil, is the penalty table: pen[li][idx] is always
+	// penaltyOf(Usage[li][idx]+demand[li], Cap[li][idx]), kept current by
+	// addUsage. A cold route builds it; route.Warm does not (see spanCost).
+	pen [][]penalty
+	// recs, lens and segs are the slabs routeGeoNet carves NetRoute
+	// records, LenByMetal and Segments from (see reserve).
+	recs []NetRoute
+	lens []int64
+	segs []Segment
 }
 
 func newRouter(l *layout.Layout, res *Result, geo *Geometry, seed int64) *router {
-	return &router{l: l, res: res, geo: geo, seed: seed, ladders: buildLadders(l.Lib())}
+	demand := make([]float64, l.Lib().NumLayers())
+	for li := range demand {
+		demand[li] = l.NDR.LayerScale(li + 1)
+	}
+	return &router{l: l, res: res, geo: geo, seed: seed, ladders: buildLadders(l.Lib()), demand: demand}
 }
 
 // routeAll routes the given geometry nets in order: geo.Order (canonical,
 // descending HPWL) for the first pass, the hashed victim order for rip-up.
+//
+// The pass's slabs hold one record and one LenByMetal per routed net and,
+// at first, the fewest segments its connections can commit. Routes are
+// nearly all Ls and straight runs, so that bound is within a few percent
+// of the truth. A net starts only where its upper bound fits; when the
+// lower bound runs short, the rest of the pass gets one slab sized by its
+// upper bound. A pass thus allocates at most four times, and wastes at
+// most one net's bound at the first slab's tail.
 func (r *router) routeAll(order []int32) {
+	nets, segs := 0, 0
 	for _, oi := range order {
+		if conns := r.geo.Conns[oi]; len(conns) > 0 {
+			nets++
+			for _, c := range conns {
+				segs += minRuns(c)
+			}
+		}
+	}
+	r.reserve(nets, segs)
+	for i, oi := range order {
+		if cap(r.segs)-len(r.segs) < maxRunsPerConn*len(r.geo.Conns[oi]) {
+			rest := 0
+			for _, oj := range order[i:] {
+				rest += len(r.geo.Conns[oj])
+			}
+			r.segs = make([]Segment, 0, maxRunsPerConn*rest)
+		}
 		r.routeGeoNet(int(oi))
 	}
+}
+
+// maxRunsPerConn bounds the segments one connection commits: a Z or a
+// U-detour has three runs, an L two.
+const maxRunsPerConn = 3
+
+// minRuns is the fewest segments routing c can commit: none for
+// coincident terminals, one for a straight connection, and two otherwise,
+// since every candidate then needs a run along each axis.
+func minRuns(c Conn) int {
+	switch {
+	case c.A == c.B:
+		return 0
+	case c.A.X == c.B.X || c.A.Y == c.B.Y:
+		return 1
+	}
+	return 2
+}
+
+// reserve makes the slabs for nets records and segs segments: one record
+// and one LenByMetal per net. Each slab is one allocation.
+func (r *router) reserve(nets, segs int) {
+	r.recs = make([]NetRoute, nets)
+	r.lens = make([]int64, nets*(r.l.Lib().NumLayers()+1))
+	r.segs = make([]Segment, 0, segs)
 }
 
 // routeGeoNet pattern-routes the oi-th geometry net's precomputed two-pin
 // connections and records the route. Nets whose geometry has no
 // connections (fewer than two located terminals) stay unrouted.
+//
+// The record, its LenByMetal and its Segments come from the router's
+// slabs; a net routeAll did not reserve for (route.Warm's main loop) gets
+// slabs sized for itself alone. Segments are appended in place at the
+// slab's tail, within the net's upper bound, then cut to a full slice
+// expression (cap = len), so no two nets share capacity and the slab
+// tail moves on by the segments actually committed.
 func (r *router) routeGeoNet(oi int) {
 	conns := r.geo.Conns[oi]
 	if len(conns) == 0 {
 		return
 	}
+	k := r.l.Lib().NumLayers() + 1
+	bound := maxRunsPerConn * len(conns)
+	if len(r.recs) == 0 || cap(r.segs)-len(r.segs) < bound {
+		r.reserve(1, bound)
+	}
 	net := r.l.Netlist.Nets[r.geo.NetIDs[oi]]
-	nr := &NetRoute{Net: net, LenByMetal: make([]int64, r.l.Lib().NumLayers()+1)}
+	nr := &r.recs[0]
+	r.recs = r.recs[1:]
+	at := len(r.segs)
+	*nr = NetRoute{Net: net, Segments: r.segs[at : at : at+bound], LenByMetal: r.lens[:k:k]}
+	r.lens = r.lens[k:]
 	for _, c := range conns {
 		r.routeTwoPin(nr, c.A, c.B, net.IsClock)
 	}
+	n := len(nr.Segments)
+	nr.Segments = nr.Segments[:n:n]
+	r.segs = r.segs[:at+n]
 	r.res.NetRoutes[net.ID] = nr
 }
 
@@ -412,11 +508,13 @@ func candLen(ci int) int {
 }
 
 // choice is the pattern routeTwoPin commits: the waypoints path[:n] on the
-// layer pair.
+// layer pair, run j on metal pair[sides[j]] over the GCells spans[j].
 type choice struct {
-	path [4]geom.Point
-	n    int
-	pair [2]int
+	path  [4]geom.Point
+	spans [3]span
+	sides [3]int
+	n     int
+	pair  [2]int
 }
 
 // routeTwoPin routes an L- or Z-shaped connection between two DBU points,
@@ -430,7 +528,7 @@ type choice struct {
 func (r *router) routeTwoPin(nr *NetRoute, a, b geom.Point, clock bool) {
 	c := r.choose(a, b, clock)
 	for j := 1; j < c.n; j++ {
-		r.commit(nr, c.path[j-1], c.path[j], c.pair[runSide(c.path[j-1], c.path[j])])
+		r.commit(nr, c.path[j-1], c.path[j], c.pair[c.sides[j-1]], c.spans[j-1])
 	}
 }
 
@@ -502,7 +600,7 @@ func (r *router) choose(a, b geom.Point, clock bool) choice {
 			floor[ci] += float64(spans[ci][j-1].n)
 		}
 	}
-	var best choice
+	bestCI, bestPair := 0, [2]int{}
 	bestCost := math.Inf(1)
 	for i, p := range pairs {
 		// Non-preferred pairs pay a via/ascent tax so they are used only
@@ -525,8 +623,7 @@ func (r *router) choose(a, b geom.Point, clock bool) choice {
 			}
 			priced := true
 			for j := 0; j < candLen(ci)-1; j++ {
-				metal := p[sides[ci][j]]
-				run, under := r.spanCost(spans[ci][j], metal-1, r.l.NDR.LayerScale(metal), cost, bestCost)
+				run, under := r.spanCost(spans[ci][j], p[sides[ci][j]]-1, cost, bestCost)
 				if !under {
 					priced = false
 					break
@@ -534,12 +631,14 @@ func (r *router) choose(a, b geom.Point, clock bool) choice {
 				cost += run
 			}
 			if priced && cost < bestCost {
-				bestCost = cost
-				best = choice{path: cands[ci], n: candLen(ci), pair: p}
+				bestCost, bestCI, bestPair = cost, ci, p
 			}
 		}
 	}
-	return best
+	if math.IsInf(bestCost, 1) {
+		return choice{} // every cost was NaN or infinite: commit nothing
+	}
+	return choice{path: cands[bestCI], spans: spans[bestCI], sides: sides[bestCI], n: candLen(bestCI), pair: bestPair}
 }
 
 func absInt64(x int64) int64 {
@@ -560,10 +659,13 @@ func runSide(a, b geom.Point) int {
 }
 
 // span is the strided range of linear GCell indices an axis-aligned run
-// crosses, in ascending order: start, start+stride, … below end — n cells.
+// crosses, in ascending order: start, start+stride, … — n cells.
 type span struct {
-	start, end, stride, n int
+	start, stride, n int
 }
+
+// end is the index one stride past the span's last GCell.
+func (s span) end() int { return s.start + s.n*s.stride }
 
 // gcell is a GCell's (column, row).
 type gcell struct{ c, r int }
@@ -575,49 +677,76 @@ func (g Grid) span(a, b geom.Point) span {
 
 // cellSpan returns the GCells of the run between GCells p and q: a row run
 // when both share a row, otherwise a column run in p's column.
-func (g Grid) cellSpan(p, q gcell) span {
+func (g *Grid) cellSpan(p, q gcell) span {
 	if p.r == q.r {
-		c0, c1 := p.c, q.c
-		if c1 < c0 {
-			c0, c1 = c1, c0
-		}
-		return span{start: g.Index(c0, p.r), end: g.Index(c1, p.r) + 1, stride: 1, n: c1 - c0 + 1}
+		c0 := min(p.c, q.c)
+		return span{start: p.r*g.Cols + c0, stride: 1, n: max(p.c, q.c) - c0 + 1}
 	}
-	r0, r1 := p.r, q.r
-	if r1 < r0 {
-		r0, r1 = r1, r0
-	}
-	return span{start: g.Index(p.c, r0), end: g.Index(p.c, r1) + g.Cols, stride: g.Cols, n: r1 - r0 + 1}
+	r0 := min(p.r, q.r)
+	return span{start: r0*g.Cols + p.c, stride: g.Cols, n: max(p.r, q.r) - r0 + 1}
 }
 
-// spanCost prices a run over the span on 0-based layer li for a wire of
-// the given track demand: 1 per GCell plus a quadratic penalty above 80%
-// usage and a steep one on overflow. Congestion is priced at the usage the
-// GCell would have AFTER this wire commits (current usage plus the wire's
-// demand) — pricing the pre-existing usage instead lets the wire that
-// pushes a GCell from just-under to just-over capacity through almost
-// free, which is exactly the wire the penalty exists to deter.
+// penalty is the congestion price of one GCell for the next wire on its
+// layer: the two terms spanCost adds after the GCell's unit cost.
+type penalty struct{ util, over float64 }
+
+// penaltyOf prices a GCell at usage u — committed usage plus the wire's
+// demand — and capacity c: 25·d²·c with d = u/c − 0.8 above 80 %
+// utilization, and 50·(u−c+1) on overflow; both are zero where c ≤ 0.
+// When u ≤ fl(0.75·c) the quotient rounds below 0.8 and u ≤ c, so both
+// terms are zero and the division is skipped.
+func penaltyOf(u, c float64) penalty {
+	var p penalty
+	if c > 0 && u > 0.75*c {
+		if util := u / c; util > 0.8 {
+			d := util - 0.8
+			p.util = 25 * d * d * c
+		}
+		if u > c {
+			// outright overflow: strongly repel additional wires
+			p.over = 50 * (u - c + 1)
+		}
+	}
+	return p
+}
+
+// spanCost prices a run over the span on 0-based layer li: per GCell, 1
+// plus the GCell's penalty at the usage it would have AFTER this wire
+// commits (usage plus the layer's demand). Pricing the pre-existing usage
+// instead lets the wire that pushes a GCell from just-under to just-over
+// capacity through almost free, which is exactly the wire the penalty
+// exists to deter.
+//
+// Each GCell adds 1, then its util term, then its over term. A zero term
+// leaves the sum unchanged (x + 0 == x, and the sum is at least 1), so
+// this equals adding only the non-zero terms. A cold route reads the
+// penalties from the table addUsage keeps current; route.Warm has no
+// table and computes them per GCell through the same penaltyOf, because
+// an O(grid) table per ECO would cost more than the few nets it reroutes.
 //
 // The run's cost is summed from zero in GCell order. Pricing stops, with
 // under false, as soon as base plus the partial cost reaches limit; every
 // term is non-negative, so the complete cost would reach it too.
-func (r *router) spanCost(s span, li int, demand, base, limit float64) (cost float64, under bool) {
-	usage, capa := r.res.Usage[li], r.res.Cap[li]
-	for idx := s.start; idx < s.end; idx += s.stride {
-		u := usage[idx] + demand
-		c := capa[idx]
-		cost++
-		if c > 0 {
-			util := u / c
-			if util > 0.8 {
-				d := util - 0.8
-				cost += 25 * d * d * c
-			}
-			if u > c {
-				// outright overflow: strongly repel additional wires
-				cost += 50 * (u - c + 1)
+func (r *router) spanCost(s span, li int, base, limit float64) (cost float64, under bool) {
+	if r.pen == nil {
+		usage, capa, demand := r.res.Usage[li], r.res.Cap[li], r.demand[li]
+		for idx, end := s.start, s.end(); idx < end; idx += s.stride {
+			p := penaltyOf(usage[idx]+demand, capa[idx])
+			cost++
+			cost += p.util
+			cost += p.over
+			if base+cost >= limit {
+				return cost, false
 			}
 		}
+		return cost, true
+	}
+	pen := r.pen[li]
+	for idx, end := s.start, s.end(); idx < end; idx += s.stride {
+		p := &pen[idx]
+		cost++
+		cost += p.util
+		cost += p.over
 		if base+cost >= limit {
 			return cost, false
 		}
@@ -625,26 +754,33 @@ func (r *router) spanCost(s span, li int, demand, base, limit float64) (cost flo
 	return cost, true
 }
 
-// commit books track usage for the run and records the segment. Usage per
-// crossed GCell equals the NDR width scale of the layer: a 1.5× wide wire
-// consumes 1.5 tracks.
-func (r *router) commit(nr *NetRoute, a, b geom.Point, metal int) {
+// commit books track usage for the run over the span choose mapped and
+// records the segment. Usage per crossed GCell equals the NDR width scale
+// of the layer: a 1.5× wide wire consumes 1.5 tracks.
+func (r *router) commit(nr *NetRoute, a, b geom.Point, metal int, sp span) {
 	if a == b {
 		return
 	}
-	seg := Segment{Metal: metal, A: a, B: b}
-	r.addUsage(seg, r.l.NDR.LayerScale(metal))
-	nr.Segments = append(nr.Segments, seg)
+	r.addUsage(metal-1, sp, r.demand[metal-1])
+	nr.Segments = append(nr.Segments, Segment{Metal: metal, A: a, B: b})
 	nr.LenByMetal[metal] += a.ManhattanDist(b)
 }
 
-// addUsage adds delta to the committed usage of every GCell the segment
-// crosses, in span order.
-func (r *router) addUsage(s Segment, delta float64) {
-	usage := r.res.Usage[s.Metal-1]
-	sp := r.res.Grid.span(s.A, s.B)
-	for idx := sp.start; idx < sp.end; idx += sp.stride {
+// addUsage adds delta to the committed usage of every GCell of the span on
+// 0-based layer li, in span order, and refreshes the penalty of each GCell
+// it touches — on falling usage (uncommit) as on rising.
+func (r *router) addUsage(li int, sp span, delta float64) {
+	usage := r.res.Usage[li]
+	if r.pen == nil {
+		for idx, end := sp.start, sp.end(); idx < end; idx += sp.stride {
+			usage[idx] += delta
+		}
+		return
+	}
+	pen, capa, demand := r.pen[li], r.res.Cap[li], r.demand[li]
+	for idx, end := sp.start, sp.end(); idx < end; idx += sp.stride {
 		usage[idx] += delta
+		pen[idx] = penaltyOf(usage[idx]+demand, capa[idx])
 	}
 }
 
@@ -652,7 +788,7 @@ func (r *router) addUsage(s Segment, delta float64) {
 // would: the same per-cell additions, in the same order.
 func (r *router) book(segs []Segment) {
 	for _, s := range segs {
-		r.addUsage(s, r.l.NDR.LayerScale(s.Metal))
+		r.addUsage(s.Metal-1, r.res.Grid.span(s.A, s.B), r.demand[s.Metal-1])
 	}
 }
 
@@ -663,7 +799,7 @@ func (r *router) book(segs []Segment) {
 // replaces the record.
 func (r *router) uncommit(nr *NetRoute) {
 	for _, s := range nr.Segments {
-		r.addUsage(s, -r.l.NDR.LayerScale(s.Metal))
+		r.addUsage(s.Metal-1, r.res.Grid.span(s.A, s.B), -r.demand[s.Metal-1])
 	}
 	nr.Segments, nr.LenByMetal = nil, nil
 }
@@ -684,7 +820,7 @@ func (r *router) ripupAndReroute() {
 	if !any {
 		return
 	}
-	var victims []int32
+	victims := make([]int32, 0, len(r.geo.Order))
 	for _, oi := range r.geo.Order {
 		nr := r.res.NetRoutes[r.geo.NetIDs[oi]]
 		if nr == nil {
@@ -693,7 +829,7 @@ func (r *router) ripupAndReroute() {
 		hit := false
 		for _, s := range nr.Segments {
 			sp := r.res.Grid.span(s.A, s.B)
-			for idx := sp.start; idx < sp.end && !hit; idx += sp.stride {
+			for idx, end := sp.start, sp.end(); idx < end && !hit; idx += sp.stride {
 				hit = over[idx]
 			}
 			if hit {
@@ -712,13 +848,13 @@ func (r *router) ripupAndReroute() {
 	// Victim order is a per-net hash of (seed, net ID): deterministic and
 	// independent of how many nets this router has already processed,
 	// unlike a shared math/rand shuffle.
-	sort.Slice(victims, func(i, j int) bool {
-		a, b := r.geo.NetIDs[victims[i]], r.geo.NetIDs[victims[j]]
-		ha, hb := netOrderHash(r.seed, a), netOrderHash(r.seed, b)
-		if ha != hb {
-			return ha < hb
+	// The key (hash, net ID) is unique, so any sort gives one order.
+	slices.SortFunc(victims, func(x, y int32) int {
+		a, b := r.geo.NetIDs[x], r.geo.NetIDs[y]
+		if c := cmp.Compare(netOrderHash(r.seed, a), netOrderHash(r.seed, b)); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	r.routeAll(victims)
 	if r.track != nil {
@@ -809,30 +945,20 @@ func (res *Result) TotalFreeTracks() float64 {
 // NetCongestion returns the average track utilization (usage/capacity) of
 // the GCells crossed by the net's route, or 0 for unrouted nets. The timing
 // engine uses it to model detour and coupling delay in congested areas.
+// Segments are axis-aligned, so each one's GCells are the strided span
+// commit booked, walked in ascending index order.
 func (res *Result) NetCongestion(netID int) float64 {
 	if netID < 0 || netID >= len(res.NetRoutes) || res.NetRoutes[netID] == nil {
 		return 0
 	}
-	nr := res.NetRoutes[netID]
 	total, n := 0.0, 0
-	for _, s := range nr.Segments {
-		g := res.Grid
-		c0, r0 := g.AtDBU(s.A)
-		c1, r1 := g.AtDBU(s.B)
-		if r1 < r0 {
-			r0, r1 = r1, r0
-		}
-		if c1 < c0 {
-			c0, c1 = c1, c0
-		}
-		for rr := r0; rr <= r1; rr++ {
-			for c := c0; c <= c1; c++ {
-				idx := g.Index(c, rr)
-				u, cp := res.Usage[s.Metal-1][idx], res.Cap[s.Metal-1][idx]
-				if cp > 0 {
-					total += u / cp
-					n++
-				}
+	for _, s := range res.NetRoutes[netID].Segments {
+		usage, capa := res.Usage[s.Metal-1], res.Cap[s.Metal-1]
+		sp := res.Grid.span(s.A, s.B)
+		for idx, end := sp.start, sp.end(); idx < end; idx += sp.stride {
+			if c := capa[idx]; c > 0 {
+				total += usage[idx] / c
+				n++
 			}
 		}
 	}

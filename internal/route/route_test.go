@@ -3,6 +3,7 @@ package route
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -360,6 +361,130 @@ func TestNetCongestion(t *testing.T) {
 	}
 }
 
+// TestRouteAllocs pins a cold route to a fixed number of allocations
+// whatever the net count: the result's grids, the penalty table and one
+// set of slabs per routing pass, never a record per net. A pass's first
+// segment slab holds each connection's fewest segments and may run short,
+// which costs that pass one more slab, so two routes may differ by at
+// most one allocation per pass. The fixtures run once without and once
+// with rip-up victims (every layer 1.5 wide).
+func TestRouteAllocs(t *testing.T) {
+	for _, wide := range []bool{false, true} {
+		allocs := func(chains, stages int) (float64, int, int) {
+			l := placedMesh(t, chains, stages, 0.6)
+			if wide {
+				for i := range l.NDR.Scale {
+					l.NDR.Scale[i] = 1.5
+				}
+			}
+			geo := BuildGeometry(l)
+			res, err := RouteWithGeometry(l, Options{Seed: 4}, geo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := testing.AllocsPerRun(10, func() { RouteWithGeometry(l, Options{Seed: 4}, geo) })
+			return n, len(l.Netlist.Nets), res.Victims
+		}
+		a, netsA, victimsA := allocs(4, 20)
+		b, netsB, victimsB := allocs(12, 40)
+		if netsB < 4*netsA || (victimsA == 0) != (victimsB == 0) || (victimsA == 0) == wide {
+			t.Fatalf("wide %v fixture: %d nets with %d victims, %d nets with %d victims", wide, netsA, victimsA, netsB, victimsB)
+		}
+		passes := 1.0
+		if wide {
+			passes++
+		}
+		if math.Abs(a-b) > passes {
+			t.Errorf("wide %v: route allocations %v on %d nets, %v on %d", wide, a, netsA, b, netsB)
+		}
+	}
+}
+
+// refNetCongestion is a verbatim copy of NetCongestion as it was before
+// it walked spans: each segment's GCell rectangle from AtDBU, by nested
+// row and column loops.
+func refNetCongestion(res *Result, netID int) float64 {
+	if netID < 0 || netID >= len(res.NetRoutes) || res.NetRoutes[netID] == nil {
+		return 0
+	}
+	nr := res.NetRoutes[netID]
+	total, n := 0.0, 0
+	for _, s := range nr.Segments {
+		g := res.Grid
+		c0, r0 := g.AtDBU(s.A)
+		c1, r1 := g.AtDBU(s.B)
+		if r1 < r0 {
+			r0, r1 = r1, r0
+		}
+		if c1 < c0 {
+			c0, c1 = c1, c0
+		}
+		for rr := r0; rr <= r1; rr++ {
+			for c := c0; c <= c1; c++ {
+				idx := g.Index(c, rr)
+				u, cp := res.Usage[s.Metal-1][idx], res.Cap[s.Metal-1][idx]
+				if cp > 0 {
+					total += u / cp
+					n++
+				}
+			}
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return total / float64(n)
+}
+
+// TestNetCongestionMatchesReference compares NetCongestion bit for bit
+// with the reference on random results: random grids, usages and
+// capacities (zero capacity included), and routes of random axis-aligned
+// segments, some zero-length and some reaching past the grid, where the
+// GCell mapping clamps.
+func TestNetCongestionMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		g := Grid{Cols: 1 + rng.Intn(30), Rows: 1 + rng.Intn(30), CellW: 1 + rng.Int63n(2000), CellH: 1 + rng.Int63n(3000),
+			Origin: geom.Pt(rng.Int63n(1000), rng.Int63n(1000))}
+		const layers = 4
+		res := &Result{Grid: g, Usage: layerGrids[float64](layers, g.Cols*g.Rows), Cap: layerGrids[float64](layers, g.Cols*g.Rows)}
+		for li := 0; li < layers; li++ {
+			for i := range res.Cap[li] {
+				if rng.Intn(8) != 0 {
+					res.Cap[li][i] = 12 * rng.Float64()
+				}
+				res.Usage[li][i] = 15 * rng.Float64()
+			}
+		}
+		coord := func(o, cell int64, n int) int64 { return o - cell + rng.Int63n(cell*int64(n+2)) }
+		for id := 0; id < 20; id++ {
+			if rng.Intn(5) == 0 {
+				res.NetRoutes = append(res.NetRoutes, nil)
+				continue
+			}
+			nr := &NetRoute{}
+			for k := rng.Intn(7); k > 0; k-- {
+				a := geom.Pt(coord(g.Origin.X, g.CellW, g.Cols), coord(g.Origin.Y, g.CellH, g.Rows))
+				b := a
+				switch rng.Intn(3) {
+				case 0:
+					b.X = coord(g.Origin.X, g.CellW, g.Cols)
+				case 1:
+					b.Y = coord(g.Origin.Y, g.CellH, g.Rows)
+				}
+				nr.Segments = append(nr.Segments, Segment{Metal: 1 + rng.Intn(layers), A: a, B: b})
+			}
+			res.NetRoutes = append(res.NetRoutes, nr)
+		}
+		for id := -1; id <= len(res.NetRoutes); id++ {
+			got, want := res.NetCongestion(id), refNetCongestion(res, id)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d net %d: NetCongestion %v, reference %v", trial, id, got, want)
+			}
+		}
+	}
+}
+
 func TestLayerPairsSpillBothWays(t *testing.T) {
 	l := placedMesh(t, 2, 5, 0.5)
 	res, err := Route(l, Options{Seed: 1})
@@ -445,7 +570,7 @@ func TestRipupUnderPressure(t *testing.T) {
 		}
 		for _, s := range nr.Segments {
 			sp := want.Grid.span(s.A, s.B)
-			for idx := sp.start; idx < sp.end; idx += sp.stride {
+			for idx, end := sp.start, sp.end(); idx < end; idx += sp.stride {
 				booked[s.Metal-1][idx] += l.NDR.LayerScale(s.Metal)
 			}
 		}

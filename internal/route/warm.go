@@ -122,7 +122,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 	defer routeSeconds.Start().Stop()
 	res := &Result{
 		Grid:      grid,
-		Usage:     layerGrids(lib.NumLayers(), grid.Cols*grid.Rows),
+		Usage:     layerGrids[float64](lib.NumLayers(), grid.Cols*grid.Rows),
 		Cap:       donor.Cap,
 		NetRoutes: make([]*NetRoute, len(l.Netlist.Nets)),
 		Core:      donor.Core,

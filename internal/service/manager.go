@@ -361,12 +361,15 @@ func (m *Manager) execute(ctx context.Context, job *Job) (*Result, *gdsiiguard.H
 		res.Hardened = &h.Metrics
 		return res, h, nil
 	case KindExplore:
-		// The checkpoint hook always runs (in-memory only when the manager
-		// has no store), so a re-execution after a restart resumes the
-		// exploration instead of restarting it.
+		// With a store, every exploration checkpoint is persisted, so a
+		// re-execution after a restart resumes the exploration instead of
+		// restarting it. Without one nothing ever re-executes the job, so
+		// no checkpoint is taken at all.
 		opt := job.Spec.Explore
-		opt.Checkpoint = func(blob []byte) error {
-			return m.persistCheckpoint(job, scopeLocal, blob)
+		if m.store != nil {
+			opt.Checkpoint = func(blob []byte) error {
+				return m.persistCheckpoint(job, scopeLocal, blob)
+			}
 		}
 		if scope, blob := job.resumeState(); scope == scopeLocal && len(blob) > 0 {
 			opt.Resume = blob

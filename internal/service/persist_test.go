@@ -607,3 +607,20 @@ func TestWaitReturnsAfterRetire(t *testing.T) {
 		t.Errorf("persisted state = %s after Wait, want done", js.State)
 	}
 }
+
+// TestStorelessExploreTakesNoCheckpoint runs an exploration on a manager
+// without a store. Nothing can re-execute such a job, so it must finish
+// without recording a checkpoint blob.
+func TestStorelessExploreTakesNoCheckpoint(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1, QueueDepth: 1})
+	job, err := m.Submit(testExploreSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job, 2*time.Minute); st != StateDone {
+		t.Fatalf("explore job %s, want %s (err %v)", st, StateDone, job.Err())
+	}
+	if scope, blob := job.resumeState(); scope != "" || len(blob) != 0 {
+		t.Fatalf("store-less job recorded a checkpoint (scope %q, %d bytes)", scope, len(blob))
+	}
+}
