@@ -340,13 +340,14 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 }
 
 // routeStage routes l under its installed NDR. Without an arena it builds
-// the placement geometry; an arena reuses the memoized geometry of p's
-// operator placement and counts the routed nets.
+// the placement geometry and a fresh route; an arena reuses the memoized
+// geometry of p's operator placement, routes into its own workspace and
+// counts the routed nets.
 func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch, p Params) (*route.Result, error) {
 	if d == nil {
 		return route.RouteWithGeometry(l, cfg.RouteOpts, route.BuildGeometry(l))
 	}
-	routes, err := route.RouteWithGeometry(l, cfg.RouteOpts, d.memo.geometry(p.OpKey(), l))
+	routes, err := d.routes.Route(l, cfg.RouteOpts, d.memo.geometry(p.OpKey(), l))
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"gdsiiguard/internal/layout"
+	"gdsiiguard/internal/route"
 )
 
 // Scratch is a reusable evaluation arena for metrics-only exploration.
@@ -29,6 +30,9 @@ type Scratch struct {
 	// memo is the baseline's shared cross-chromosome stage cache, the
 	// source of every evaluation's operator placement and route geometry.
 	memo *StageMemo
+	// routes is the memory every evaluation's route is built in; each
+	// route overwrites the last one's result.
+	routes route.Workspace
 
 	// Pristine state the arena is rewound to before each evaluation.
 	baseFixed     []bool
@@ -88,8 +92,10 @@ func (s *Scratch) Run(p Params) (*Result, error) {
 // pipeline, same metrics — but on the reusable arena instead of a fresh
 // clone. The result carries Metrics and operator telemetry only: Layout,
 // Routes, Timing and Assessment are stripped, because they alias (or
-// reference instances of) the arena, which the next evaluation mutates.
-// Callers that need the hardened layout itself use core.RunCtx.
+// reference instances of) the arena, which the next evaluation mutates —
+// the route in particular lives in the arena's route workspace and is
+// valid only until the next evaluation routes over it. Callers that need
+// the hardened layout itself use core.RunCtx.
 func (s *Scratch) RunCtx(ctx context.Context, p Params) (*Result, error) {
 	res, err := run(ctx, s.base, s, p)
 	if err != nil {

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"gdsiiguard/internal/benchdesigns"
+	"gdsiiguard/internal/route"
 )
 
 // sameMetrics compares every metric except the wall-clock Runtime.
@@ -77,4 +84,98 @@ func TestScratchMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMetrics(t, "baseline stability", want.Metrics, firstScratch[0])
+}
+
+// sameRoutes compares two routes bit for bit: summaries, capacity, usage
+// and every net's segments and per-layer length.
+func sameRoutes(t *testing.T, label string, got, want *route.Result) {
+	t.Helper()
+	if got.TotalWL != want.TotalWL || got.Victims != want.Victims || got.OverflowGCells != want.OverflowGCells ||
+		math.Float64bits(got.Overflow) != math.Float64bits(want.Overflow) || got.Grid != want.Grid {
+		t.Fatalf("%s: route summary WL %d victims %d overflow %v/%d, want WL %d victims %d overflow %v/%d", label,
+			got.TotalWL, got.Victims, got.Overflow, got.OverflowGCells, want.TotalWL, want.Victims, want.Overflow, want.OverflowGCells)
+	}
+	for li := range want.Usage {
+		for i := range want.Usage[li] {
+			if math.Float64bits(got.Usage[li][i]) != math.Float64bits(want.Usage[li][i]) ||
+				math.Float64bits(got.Cap[li][i]) != math.Float64bits(want.Cap[li][i]) {
+				t.Fatalf("%s: layer %d GCell %d usage/cap %v/%v, want %v/%v", label, li+1, i,
+					got.Usage[li][i], got.Cap[li][i], want.Usage[li][i], want.Cap[li][i])
+			}
+		}
+	}
+	if len(got.NetRoutes) != len(want.NetRoutes) {
+		t.Fatalf("%s: %d net routes, want %d", label, len(got.NetRoutes), len(want.NetRoutes))
+	}
+	for id, w := range want.NetRoutes {
+		g := got.NetRoutes[id]
+		if (g == nil) != (w == nil) {
+			t.Fatalf("%s: net %d routed-ness differs", label, id)
+		}
+		if w != nil && (!slices.Equal(g.Segments, w.Segments) || !slices.Equal(g.LenByMetal, w.LenByMetal)) {
+			t.Fatalf("%s: net %d route differs", label, id)
+		}
+	}
+}
+
+// TestScratchRoutesAcrossOpKeysMatchRun alternates one arena between
+// operator placements (OpKeys) and NDR scales on PRESENT, so every
+// evaluation routes into a workspace that last held another placement and
+// NDR, with and without rip-up victims. Each evaluation's route — read
+// before the arena strips it — and metrics must equal core.Run's, which
+// routes afresh on its own clone.
+func TestScratchRoutesAcrossOpKeysMatchRun(t *testing.T) {
+	d, err := benchdesigns.Build("PRESENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := EvalBaseline(d.Layout, FlowConfig{Constraints: d.Cons, Activity: d.Spec.Activity, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := base.Layout.Lib().NumLayers()
+	cs, lda2, lda4 := DefaultParams(k), DefaultParams(k), DefaultParams(k)
+	lda2.Op, lda2.LDAGridN, lda2.LDAIters = LDA, 2, 1
+	lda4.Op, lda4.LDAGridN, lda4.LDAIters = LDA, 4, 2
+	// scaled gives layer i the scale ScaleValues[(i+shift) mod 3], and
+	// wide every layer 1.5.
+	scaled := func(p Params, shift int) Params {
+		p = p.Clone()
+		for i := range p.ScaleM {
+			p.ScaleM[i] = ScaleValues[(i+shift)%len(ScaleValues)]
+		}
+		return p
+	}
+	wide := func(p Params) Params {
+		p = p.Clone()
+		for i := range p.ScaleM {
+			p.ScaleM[i] = 1.5
+		}
+		return p
+	}
+	params := []Params{cs, lda2, scaled(cs, 1), lda4, scaled(lda2, 2), wide(cs), wide(lda4), lda2}
+
+	s := NewScratch(base)
+	var first *route.Result
+	victims := 0
+	for i, p := range params {
+		want, err := Run(base, p)
+		if err != nil {
+			t.Fatalf("Run(%d): %v", i, err)
+		}
+		got, err := run(context.Background(), base, s, p)
+		if err != nil {
+			t.Fatalf("arena run(%d): %v", i, err)
+		}
+		label := fmt.Sprintf("%d %s %s", i, p.OpKey(), p.ScaleKey())
+		sameRoutes(t, label, got.Routes, want.Routes)
+		sameMetrics(t, label, got.Metrics, want.Metrics)
+		if first == nil {
+			first = got.Routes
+		} else if got.Routes != first {
+			t.Fatalf("%s: the arena routed into new memory", label)
+		}
+		victims += want.Routes.Victims
+	}
+	t.Logf("%d evaluations, %d rip-up victims", len(params), victims)
 }

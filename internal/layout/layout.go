@@ -457,8 +457,16 @@ func (l *Layout) Clone() *Layout {
 // Validate checks grid/placement consistency: every placed instance's sites
 // are owned by it, every occupied site belongs to a placed instance, and
 // every functional instance is placed.
+//
+// It allocates nothing on a consistent layout. Once every placed instance
+// is known to own its WidthSites sites, the occupied sites number at least
+// the sum of the placed widths, and exactly that sum only if no site
+// belongs to an unplaced instance or to a placed one beyond its width. So
+// the two remaining checks are one count, and only a layout failing it
+// pays for the per-owner tally that names the culprit.
 func (l *Layout) Validate() error {
 	l.grow()
+	placedSites := 0
 	for _, in := range l.Netlist.Insts {
 		p := l.placements[in.ID]
 		if !p.Placed {
@@ -477,7 +485,23 @@ func (l *Layout) Validate() error {
 				return fmt.Errorf("layout: site (%d,%d) not owned by %s", p.Row, s, in.Name)
 			}
 		}
+		placedSites += in.Master.WidthSites
 	}
+	occupied := 0
+	for _, v := range l.occ {
+		if v != 0 {
+			occupied++
+		}
+	}
+	if occupied != placedSites {
+		return l.ownershipError()
+	}
+	return nil
+}
+
+// ownershipError names the instance whose site count is wrong: an unplaced
+// instance owning sites, or a placed one owning more than its width.
+func (l *Layout) ownershipError() error {
 	counts := make(map[int32]int)
 	for _, v := range l.occ {
 		if v != 0 {
@@ -493,7 +517,8 @@ func (l *Layout) Validate() error {
 			return fmt.Errorf("layout: %s owns %d sites, master is %d wide", in.Name, n, in.Master.WidthSites)
 		}
 	}
-	return nil
+	// Unreachable: Validate calls this only when the counts disagree.
+	return fmt.Errorf("layout: occupancy grid disagrees with the placements")
 }
 
 func clamp(v, lo, hi int) int {

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -477,5 +478,89 @@ func TestAdoptPlacements(t *testing.T) {
 	other, _ := New(l.Netlist.Clone(), l.NumRows+1, l.SitesPerRow)
 	if err := l.AdoptPlacements(other); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// validToy is the toy layout with u1, u2 and u3 placed at site 2 of rows
+// 0–2 and an unplaced filler fill0 added after the layout was built.
+func validToy(t *testing.T) *Layout {
+	t.Helper()
+	l := toyLayout(t)
+	for i, name := range []string{"u1", "u2", "u3"} {
+		if err := l.Place(l.Netlist.Instance(name), i, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.Netlist.AddInstance("fill0", "FILLCELL_X4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Validate(); err != nil {
+		t.Fatalf("valid toy: %v", err)
+	}
+	return l
+}
+
+// TestValidateAllocatesNothing pins Validate of a consistent layout at
+// zero allocations: drc.Check runs it on every evaluation. Row 3 holds 30
+// more cells, so a tally of the site owners would outgrow what the
+// compiler can keep on the stack.
+func TestValidateAllocatesNothing(t *testing.T) {
+	l := validToy(t)
+	for s := 0; s < 30; s++ {
+		f, err := l.Netlist.AddInstance(fmt.Sprintf("tie%d", s), "FILLCELL_X1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Place(f, 3, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := l.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Validate allocates %v times", n)
+	}
+}
+
+// TestValidateRejectsCorruptLayouts corrupts the placement table or the
+// occupancy grid one way at a time; Validate must reject each with the
+// message that names the fault.
+func TestValidateRejectsCorruptLayouts(t *testing.T) {
+	id := func(l *Layout, name string) int { return l.Netlist.Instance(name).ID }
+	site := func(l *Layout, row, s int) *int32 { return &l.occ[row*l.SitesPerRow+s] }
+	for _, c := range []struct {
+		name    string
+		corrupt func(l *Layout)
+		want    string
+	}{
+		{"unplaced functional", func(l *Layout) { l.Unplace(l.Netlist.Instance("u2")) },
+			"layout: functional instance u2 unplaced"},
+		{"out of core", func(l *Layout) { l.placements[id(l, "u3")].Row = l.NumRows },
+			"layout: u3 out of core at (4,2)"},
+		{"site lost", func(l *Layout) { *site(l, 1, 3) = 0 },
+			"layout: site (1,3) not owned by u2"},
+		{"site taken by another", func(l *Layout) { *site(l, 0, 2) = int32(id(l, "u3") + 1) },
+			"layout: site (0,2) not owned by u1"},
+		{"stray site of a placed cell", func(l *Layout) { *site(l, 3, 30) = int32(id(l, "u1") + 1) },
+			"layout: u1 owns 3 sites, master is 2 wide"},
+		{"site of an unplaced filler", func(l *Layout) { *site(l, 3, 10) = int32(id(l, "fill0") + 1) },
+			"layout: unplaced instance fill0 owns 1 sites"},
+		{"unplaced cell keeps its sites", func(l *Layout) {
+			if err := l.Place(l.Netlist.Instance("fill0"), 3, 20); err != nil {
+				t.Fatal(err)
+			}
+			l.placements[id(l, "fill0")].Placed = false
+		}, "layout: unplaced instance fill0 owns 4 sites"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := validToy(t)
+			c.corrupt(l)
+			err := l.Validate()
+			if err == nil || err.Error() != c.want {
+				t.Errorf("Validate = %v, want %q", err, c.want)
+			}
+		})
 	}
 }

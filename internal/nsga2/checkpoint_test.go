@@ -116,7 +116,7 @@ func withCapture(opt Options, out *[]*Checkpoint) Options {
 // when resumed from its final checkpoint instead of running further.
 func TestResumeReproducesPatienceBreak(t *testing.T) {
 	base := buildBase(t, 4, 12, 5)
-	opt := Options{PopSize: 8, Generations: 12, Patience: 2, Seed: 3, Parallelism: 4}
+	opt := Options{PopSize: 8, Generations: 12, Patience: 1, Seed: 3, Parallelism: 4}
 
 	var cps []*Checkpoint
 	golden, err := Optimize(base, withCapture(opt, &cps))
@@ -124,8 +124,9 @@ func TestResumeReproducesPatienceBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if golden.Generations >= 12 {
-		t.Skip("run did not converge early; patience-break resume not exercised")
+		t.Fatalf("run went all %d generations: the fixture no longer stops on patience", golden.Generations)
 	}
+	t.Logf("stopped on patience after %d generations", golden.Generations)
 	last := cps[len(cps)-1]
 	ropt := opt
 	ropt.Resume = last

@@ -366,9 +366,9 @@ func (ev *evaluator) putScratch(s *core.Scratch) {
 // evalAll evaluates a batch: unique un-cached chromosomes run once each on
 // the worker pool (in deterministic key order for a reproducible trace),
 // then every individual is filled from the cache. A chromosome cached as
-// Failed in an *earlier* generation is not served from the cache: it gets
-// one fresh re-evaluation per later generation it reappears in, so one
-// failed evaluation cannot permanently poison a point of the search space.
+// Failed is served from the cache like any other: every failure (a stage
+// error or a panic) is a deterministic function of the chromosome, so
+// evaluating it again could only fail again.
 func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) error {
 	var fresh []string
 	seen := map[string]core.Params{}
@@ -377,13 +377,8 @@ func (ev *evaluator) evalAll(ctx context.Context, pop []*Individual, gen int) er
 		if _, dup := seen[key]; dup {
 			continue
 		}
-		if hit, cached := ev.cache[key]; cached {
-			if !hit.Failed || hit.Generation >= gen {
-				continue
-			}
-			// Failed in an earlier generation: retry it fresh.
-			delete(ev.cache, key)
-			nsga2Evals.With("retried").Inc()
+		if _, cached := ev.cache[key]; cached {
+			continue
 		}
 		seen[key] = in.Params
 		fresh = append(fresh, key)

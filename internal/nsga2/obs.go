@@ -9,7 +9,7 @@ var (
 		"NSGA-II generations executed.").With()
 	nsga2Evals = obs.Default().Counter(
 		"gdsiiguard_nsga2_evaluations_total",
-		"NSGA-II chromosome evaluations by result (fresh, cache_hit, failed, retried).",
+		"NSGA-II chromosome evaluations by result (fresh, cache_hit, failed).",
 		"result")
 	frontGauge = obs.Default().Gauge(
 		"gdsiiguard_nsga2_front_size",

@@ -195,7 +195,7 @@ func Route(l *layout.Layout, opt Options) (*Result, error) {
 	if err := fault.Hit(fault.Route); err != nil {
 		return nil, err
 	}
-	return routeWithGeometry(l, opt, BuildGeometry(l))
+	return routeWithGeometry(l, opt, BuildGeometry(l), nil)
 }
 
 // RouteWithGeometry is Route with a precomputed placement geometry (which
@@ -206,28 +206,98 @@ func RouteWithGeometry(l *layout.Layout, opt Options, geo *Geometry) (*Result, e
 	if err := fault.Hit(fault.Route); err != nil {
 		return nil, err
 	}
-	return routeWithGeometry(l, opt, geo)
+	return routeWithGeometry(l, opt, geo, nil)
 }
 
-func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry) (*Result, error) {
+// Workspace is the memory of a cold route, recycled from one route to the
+// next: the Result itself, its Usage/Cap grids and NetRoutes, the penalty
+// table, each pass's record, LenByMetal and Segments slabs, and the rip-up
+// mask and victim lists. Every route reinitializes everything it reads
+// before it starts, so a route into a workspace is bit-identical to a
+// fresh one whatever the workspace last held — another placement, NDR or
+// design, or a route that panicked halfway.
+//
+// A Result routed into a workspace is valid only until the workspace's
+// next route, which overwrites it in place. A Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	res       *Result
+	usage     [][]float64
+	capa      [][]float64
+	pen       [][]penalty
+	netRoutes []*NetRoute
+	ndr       []float64
+	// passes holds the slabs of each routing pass: the main pass first,
+	// then one per rip-up pass that found victims.
+	passes  []passSlabs
+	over    []bool
+	victims []int32
+	keys    []victimKey
+}
+
+// passSlabs is one routing pass's memory: its records, LenByMetal arrays
+// and first segment slab, and the segment slab the rest of the pass takes
+// when the first runs short (see routeAll).
+type passSlabs struct {
+	recs       []NetRoute
+	lens       []int64
+	segs, more []Segment
+}
+
+// Route is RouteWithGeometry into the workspace's memory, bit-identical to
+// it. The result is valid until the workspace's next route.
+func (ws *Workspace) Route(l *layout.Layout, opt Options, geo *Geometry) (*Result, error) {
+	if err := fault.Hit(fault.Route); err != nil {
+		return nil, err
+	}
+	return routeWithGeometry(l, opt, geo, ws)
+}
+
+// routeWithGeometry is the router. It routes into ws, or into a fresh
+// workspace when ws is nil: that route's Result holds exactly the memory
+// it uses, and neither the penalty table nor any slab beyond its own.
+func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry, ws *Workspace) (*Result, error) {
 	defer routeSeconds.Start().Stop()
 	opt = opt.withDefaults()
 	lib := l.Lib()
 	if lib.NumLayers() < 2 {
 		return nil, fmt.Errorf("route: need at least 2 routing layers, have %d", lib.NumLayers())
 	}
+	if ws == nil {
+		ws = new(Workspace)
+	}
+	if ws.res == nil {
+		ws.res = new(Result)
+	}
 	grid := buildGrid(l, opt)
-	res := &Result{
+	k, n := lib.NumLayers(), grid.Cols*grid.Rows
+	var stale bool
+	ws.usage, stale = reuseGrids(ws.usage, k, n)
+	if stale {
+		for _, u := range ws.usage {
+			clear(u)
+		}
+	}
+	ws.capa, _ = reuseGrids(ws.capa, k, n)
+	ws.pen, _ = reuseGrids(ws.pen, k, n)
+	netRoutes, stale := grow(&ws.netRoutes, len(l.Netlist.Nets))
+	if stale {
+		clear(netRoutes)
+	}
+	ws.ndr = append(ws.ndr[:0], l.NDR.Scale...)
+	res := ws.res
+	*res = Result{
 		Grid:      grid,
-		Usage:     layerGrids[float64](lib.NumLayers(), grid.Cols*grid.Rows),
-		Cap:       layerGrids[float64](lib.NumLayers(), grid.Cols*grid.Rows),
-		NetRoutes: make([]*NetRoute, len(l.Netlist.Nets)),
+		Usage:     ws.usage,
+		Cap:       ws.capa,
+		NetRoutes: netRoutes,
 		Core:      l.CoreRect(),
-		NDRScale:  append([]float64(nil), l.NDR.Scale...),
+		NDRScale:  ws.ndr,
 		lib:       lib,
 	}
 	r := newRouter(l, res, geo, opt.Seed)
-	r.pen = layerGrids[penalty](lib.NumLayers(), grid.Cols*grid.Rows)
+	r.ws = ws
+	r.pen = ws.pen
 	fillCapacity(l, res, r.pen, r.demand)
 
 	r.routeAll(geo.Order)
@@ -267,6 +337,28 @@ func layerGrids[T any](k, n int) [][]T {
 		out[li] = slab[li*n : (li+1)*n : (li+1)*n]
 	}
 	return out
+}
+
+// reuseGrids returns rows when they are already k grids of n GCells —
+// stale, holding whatever the last route left — and fresh zeroed grids
+// otherwise.
+func reuseGrids[T any](rows [][]T, k, n int) (grids [][]T, stale bool) {
+	if len(rows) == k && k > 0 && len(rows[0]) == n {
+		return rows, true
+	}
+	return layerGrids[T](k, n), false
+}
+
+// grow returns the first n elements of *buf, replacing *buf by a fresh
+// zeroed slice of length n when its capacity is short. stale reports that
+// the elements were reused and hold whatever they last held; the capacity
+// beyond n stays reachable by reslicing.
+func grow[T any](buf *[]T, n int) (s []T, stale bool) {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+		return *buf, false
+	}
+	return (*buf)[:n], true
 }
 
 // fillCapacity computes per-layer per-GCell track capacity: the number of
@@ -335,6 +427,10 @@ type router struct {
 	recs []NetRoute
 	lens []int64
 	segs []Segment
+	// ws holds the per-pass slabs and the rip-up buffers; pass counts the
+	// passes routeAll has started.
+	ws   *Workspace
+	pass int
 }
 
 func newRouter(l *layout.Layout, res *Result, geo *Geometry, seed int64) *router {
@@ -353,8 +449,9 @@ func newRouter(l *layout.Layout, res *Result, geo *Geometry, seed int64) *router
 // nearly all Ls and straight runs, so that bound is within a few percent
 // of the truth. A net starts only where its upper bound fits; when the
 // lower bound runs short, the rest of the pass gets one slab sized by its
-// upper bound. A pass thus allocates at most four times, and wastes at
-// most one net's bound at the first slab's tail.
+// upper bound. In a fresh workspace a pass thus allocates at most four
+// times, and wastes at most one net's bound at the first slab's tail; a
+// recycled one reuses the slabs the same pass of its last route grew.
 func (r *router) routeAll(order []int32) {
 	nets, segs := 0, 0
 	for _, oi := range order {
@@ -365,14 +462,20 @@ func (r *router) routeAll(order []int32) {
 			}
 		}
 	}
-	r.reserve(nets, segs)
+	if r.pass == len(r.ws.passes) {
+		r.ws.passes = append(r.ws.passes, passSlabs{})
+	}
+	sl := &r.ws.passes[r.pass]
+	r.pass++
+	r.reserve(sl, nets, segs)
 	for i, oi := range order {
 		if cap(r.segs)-len(r.segs) < maxRunsPerConn*len(r.geo.Conns[oi]) {
 			rest := 0
 			for _, oj := range order[i:] {
 				rest += len(r.geo.Conns[oj])
 			}
-			r.segs = make([]Segment, 0, maxRunsPerConn*rest)
+			r.segs, _ = grow(&sl.more, maxRunsPerConn*rest)
+			r.segs = r.segs[:0]
 		}
 		r.routeGeoNet(int(oi))
 	}
@@ -395,12 +498,18 @@ func minRuns(c Conn) int {
 	return 2
 }
 
-// reserve makes the slabs for nets records and segs segments: one record
-// and one LenByMetal per net. Each slab is one allocation.
-func (r *router) reserve(nets, segs int) {
-	r.recs = make([]NetRoute, nets)
-	r.lens = make([]int64, nets*(r.l.Lib().NumLayers()+1))
-	r.segs = make([]Segment, 0, segs)
+// reserve takes the pass's slabs for nets records and segs segments: one
+// record and one LenByMetal per net. A slab too small for the pass is
+// replaced by one allocation; a reused LenByMetal slab is cleared, and a
+// reused segment slab keeps its whole capacity.
+func (r *router) reserve(sl *passSlabs, nets, segs int) {
+	var stale bool
+	r.recs, _ = grow(&sl.recs, nets)
+	if r.lens, stale = grow(&sl.lens, nets*(r.l.Lib().NumLayers()+1)); stale {
+		clear(r.lens)
+	}
+	r.segs, _ = grow(&sl.segs, segs)
+	r.segs = r.segs[:0]
 }
 
 // routeGeoNet pattern-routes the oi-th geometry net's precomputed two-pin
@@ -409,10 +518,10 @@ func (r *router) reserve(nets, segs int) {
 //
 // The record, its LenByMetal and its Segments come from the router's
 // slabs; a net routeAll did not reserve for (route.Warm's main loop) gets
-// slabs sized for itself alone. Segments are appended in place at the
-// slab's tail, within the net's upper bound, then cut to a full slice
-// expression (cap = len), so no two nets share capacity and the slab
-// tail moves on by the segments actually committed.
+// slabs sized for itself alone, outside any workspace. Segments are
+// appended in place at the slab's tail, within the net's upper bound, then
+// cut to a full slice expression (cap = len), so no two nets share
+// capacity and the slab tail moves on by the segments actually committed.
 func (r *router) routeGeoNet(oi int) {
 	conns := r.geo.Conns[oi]
 	if len(conns) == 0 {
@@ -421,7 +530,7 @@ func (r *router) routeGeoNet(oi int) {
 	k := r.l.Lib().NumLayers() + 1
 	bound := maxRunsPerConn * len(conns)
 	if len(r.recs) == 0 || cap(r.segs)-len(r.segs) < bound {
-		r.reserve(1, bound)
+		r.recs, r.lens, r.segs = make([]NetRoute, 1), make([]int64, k), make([]Segment, 0, bound)
 	}
 	net := r.l.Netlist.Nets[r.geo.NetIDs[oi]]
 	nr := &r.recs[0]
@@ -807,7 +916,8 @@ func (r *router) uncommit(nr *NetRoute) {
 // ripupAndReroute rips up nets that cross overflowed GCells and re-routes
 // them in a congestion-aware order.
 func (r *router) ripupAndReroute() {
-	over := make([]bool, r.res.Grid.Cols*r.res.Grid.Rows)
+	over, _ := grow(&r.ws.over, r.res.Grid.Cols*r.res.Grid.Rows)
+	clear(over)
 	any := false
 	for li := range r.res.Usage {
 		for i := range r.res.Usage[li] {
@@ -820,7 +930,8 @@ func (r *router) ripupAndReroute() {
 	if !any {
 		return
 	}
-	victims := make([]int32, 0, len(r.geo.Order))
+	victims, _ := grow(&r.ws.victims, len(r.geo.Order))
+	victims = victims[:0]
 	for _, oi := range r.geo.Order {
 		nr := r.res.NetRoutes[r.geo.NetIDs[oi]]
 		if nr == nil {
@@ -845,17 +956,7 @@ func (r *router) ripupAndReroute() {
 		}
 	}
 	r.res.Victims += len(victims)
-	// Victim order is a per-net hash of (seed, net ID): deterministic and
-	// independent of how many nets this router has already processed,
-	// unlike a shared math/rand shuffle.
-	// The key (hash, net ID) is unique, so any sort gives one order.
-	slices.SortFunc(victims, func(x, y int32) int {
-		a, b := r.geo.NetIDs[x], r.geo.NetIDs[y]
-		if c := cmp.Compare(netOrderHash(r.seed, a), netOrderHash(r.seed, b)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	r.sortVictims(victims)
 	r.routeAll(victims)
 	if r.track != nil {
 		for _, oi := range victims {
@@ -863,6 +964,34 @@ func (r *router) ripupAndReroute() {
 				r.track.addSegments(nr.Segments)
 			}
 		}
+	}
+}
+
+// victimKey is a rip-up victim's sort key, (hash, net ID), with its
+// geometry index.
+type victimKey struct {
+	hash   uint64
+	id, oi int32
+}
+
+// sortVictims orders victims by a per-net hash of (seed, net ID), then net
+// ID: deterministic and independent of how many nets this router has
+// already processed, unlike a shared math/rand shuffle. Each key is
+// computed once per victim; it is unique, so any sort gives one order.
+func (r *router) sortVictims(victims []int32) {
+	keys, _ := grow(&r.ws.keys, len(victims))
+	for i, oi := range victims {
+		id := r.geo.NetIDs[oi]
+		keys[i] = victimKey{hash: netOrderHash(r.seed, id), id: id, oi: oi}
+	}
+	slices.SortFunc(keys, func(x, y victimKey) int {
+		if c := cmp.Compare(x.hash, y.hash); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+	for i, k := range keys {
+		victims[i] = k.oi
 	}
 }
 

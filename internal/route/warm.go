@@ -130,6 +130,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 		lib:       lib,
 	}
 	r := newRouter(l, res, geo, opt.Seed)
+	r.ws = new(Workspace)
 
 	// Δ starts as the donor paths of every dirty net: wherever those
 	// committed usage in the donor run, usage here is already different —
