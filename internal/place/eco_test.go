@@ -114,12 +114,27 @@ func randomBlockages(l *layout.Layout, rng *rand.Rand) {
 	})
 }
 
+// checkFreeBits requires the tracker's free-site bitset to equal l.Free at
+// every site, with the bits past each row's last site clear.
+func checkFreeBits(t *testing.T, d *densityTracker) {
+	t.Helper()
+	l := d.l
+	for r := 0; r < l.NumRows; r++ {
+		for s := 0; s < d.words*64; s++ {
+			got := d.free[r*d.words+s/64]>>(s%64)&1 != 0
+			if want := l.Free(r, s); got != want {
+				t.Fatalf("free bit (%d, %d) = %v, layout says %v", r, s, got, want)
+			}
+		}
+	}
+}
+
 // TestDensityTrackerMatchesScan drives the row-indexed tracker and the
 // all-blockage reference through the same random sequences of cell moves
 // on randomized layouts. After every move, fits must agree with the
 // reference for every movable cell at every in-die (row, site) where the
-// cell fits the row, and both trackers' occupancy must equal a
-// from-scratch count.
+// cell fits the row, both trackers' occupancy must equal a from-scratch
+// count, and the free-site bitset must equal l.Free.
 func TestDensityTrackerMatchesScan(t *testing.T) {
 	seeds, steps := 6, 30
 	if testing.Short() {
@@ -137,6 +152,7 @@ func TestDensityTrackerMatchesScan(t *testing.T) {
 		cells := movableCells(l)
 		accepted, refused := 0, 0
 		for step := 0; step <= steps; step++ {
+			checkFreeBits(t, idx)
 			for i, b := range l.Blockages {
 				if want := scanUsed(l, b); idx.used[i] != want || ref.used[i] != want {
 					t.Fatalf("seed %d step %d: blockage %d %+v used %d (reference %d), counted %d",
@@ -191,7 +207,17 @@ func capTiledLayout(t *testing.T) (*layout.Layout, *netlist.Instance) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const gridN = 8
+	addTiling(l, 8, fixedCap)
+	return l, movableCells(l)[0]
+}
+
+// fixedCap is the cap of tile (gi, gj) in capTiledLayout's tiling.
+func fixedCap(gi, gj int) float64 { return 0.3 + 0.05*float64((gi+gj)%8) }
+
+// addTiling installs an LDA-shaped gridN×gridN tiling of blockages, tile
+// (gi, gj) capped at density(gi, gj), the last row and column of tiles
+// clipped by the die.
+func addTiling(l *layout.Layout, gridN int, density func(gi, gj int) float64) {
 	rowsPer := (l.NumRows + gridN - 1) / gridN
 	sitesPer := (l.SitesPerRow + gridN - 1) / gridN
 	for gi := 0; gi < gridN; gi++ {
@@ -199,11 +225,10 @@ func capTiledLayout(t *testing.T) (*layout.Layout, *netlist.Instance) {
 			l.AddBlockage(layout.Blockage{
 				Row0: gi * rowsPer, Row1: (gi + 1) * rowsPer,
 				Site0: gj * sitesPer, Site1: (gj + 1) * sitesPer,
-				MaxDensity: 0.3 + 0.05*float64((gi+gj)%8),
+				MaxDensity: density(gi, gj),
 			})
 		}
 	}
-	return l, movableCells(l)[0]
 }
 
 func TestDensityTrackerFitsAllocatesNothing(t *testing.T) {
@@ -222,23 +247,27 @@ func TestDensityTrackerFitsAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNearestFitAllocatesNothing sweeps targets over the die at ECO's
+// radius 120 and at Refine's unbounded radius 0.
 func TestNearestFitAllocatesNothing(t *testing.T) {
 	l, in := capTiledLayout(t)
 	d := newDensityTracker(l)
-	sweep := func() (found int) {
-		for tr := 0; tr < l.NumRows; tr += 3 {
-			for ts := 0; ts < l.SitesPerRow; ts += 5 {
-				if _, _, ok := nearestFit(l, d, in, tr, ts, 120); ok {
-					found++
+	for _, radius := range []int{120, 0} {
+		sweep := func() (found int) {
+			for tr := 0; tr < l.NumRows; tr += 3 {
+				for ts := 0; ts < l.SitesPerRow; ts += 5 {
+					if _, _, ok := nearestFit(l, d, in, tr, ts, radius); ok {
+						found++
+					}
 				}
 			}
+			return found
 		}
-		return found
-	}
-	if sweep() == 0 {
-		t.Fatal("fixture must find positions")
-	}
-	if allocs := testing.AllocsPerRun(20, func() { sweep() }); allocs != 0 {
-		t.Errorf("nearestFit allocates %v times per sweep, want 0", allocs)
+		if sweep() == 0 {
+			t.Fatalf("radius %d: fixture must find positions", radius)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { sweep() }); allocs != 0 {
+			t.Errorf("radius %d: nearestFit allocates %v times per sweep, want 0", radius, allocs)
+		}
 	}
 }

@@ -204,46 +204,88 @@ func cellHPWL(l *layout.Layout, in *netlist.Instance) int64 {
 }
 
 // nearestFit searches outward from (tr, ts) for a position where the cell
-// fits and all blockage caps stay satisfied, and returns the first one
-// found. The search expands in rings of growing site distance; rows are
-// weighted by the site aspect ratio (one row step ≈ rowWeight site steps),
-// and within a ring rows are visited in ascending order. The ring radius
-// grows in steps of rowWeight, so a row dr rows away is probed only at
-// sites ts ± (radius − |dr|·rowWeight), i.e. ts ± k·rowWeight: the result
-// is not the closest free position, and a free slot next to the target can
-// be missed. Only rows inside the die are probed.
+// fits and all blockage caps stay satisfied, and returns the first one in
+// ring order. Rows are weighted by the site aspect ratio (one row step ≈
+// rowWeight site steps), and the ring radius grows in steps of rowWeight,
+// so a row dr rows away holds candidates only at sites ts ± j·rowWeight,
+// in ring |dr|+j: the result is not the closest free position, and a free
+// slot next to the target can be missed. Positions are ordered by (ring,
+// dr, minus side first), rings go up to maxRadius/rowWeight (maxRadius 0
+// means the whole die), and only rows inside the die are searched. The
+// cell's own sites count as free, as CanPlace counts them.
+//
+// The first nearRings rings are probed one position at a time, in that
+// order: they hold few positions, and most Refine searches end in them.
+// Past them the search is word-parallel. For each row, in order of
+// increasing |dr|, the tracker's free-site bitset gives the candidates 64
+// sites of distance at a time, outward from ts (w free sites, on the
+// lattice, not wholly inside a blockage without room), and only those
+// reach fits. A row stops at its nearest survivor that fits, rows farther
+// than the best ring found are not searched, and rings are taken in bands
+// of bandSites of distance so that no row is searched far past the
+// nearest ring with a fit. A search that fails, as most of ECO's do, thus
+// costs words of candidates rather than probes. TestNearestFitMatchesProbe
+// and FuzzNearestFit hold it to the ring probe it replaced.
 func nearestFit(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr, ts, maxRadius int) (int, int, bool) {
-	rowWeight := int(l.Lib().Site.Height / l.Lib().Site.Width)
-	if rowWeight < 1 {
-		rowWeight = 1
-	}
-	limit := l.SitesPerRow + l.NumRows*rowWeight
+	return nearestFitProbing(l, dens, in, tr, ts, maxRadius, nearRings)
+}
+
+const (
+	// nearRings is how many rings nearestFit probes one position at a time.
+	nearRings = 8
+	// bandSites is the distance, in sites, of one band of rings.
+	bandSites = 256
+)
+
+// nearestFitProbing is nearestFit with the first near rings probed one
+// position at a time; any near gives the same answer.
+func nearestFitProbing(l *layout.Layout, dens *densityTracker, in *netlist.Instance, tr, ts, maxRadius, near int) (int, int, bool) {
+	rw := dens.rowWeight
+	limit := l.SitesPerRow + l.NumRows*rw
 	if maxRadius > 0 && maxRadius < limit {
 		limit = maxRadius
 	}
-	from := l.PlacementOf(in)
-	w := in.Master.WidthSites
-	for radius := 0; radius <= limit; radius += rowWeight {
-		k := radius / rowWeight
-		for dr := max(-k, -tr); dr <= min(k, l.NumRows-1-tr); dr++ {
-			r := tr + dr
-			span := radius - abs(dr)*rowWeight
-			sites := [2]int{ts - span, ts + span}
-			n := 2
-			if span == 0 {
-				n = 1 // ts-0 and ts+0 are the same site
-			}
-			for _, s := range sites[:n] {
-				if s < 0 || s+w > l.SitesPerRow {
-					continue
-				}
-				if l.CanPlace(in, r, s) && dens.fits(in, from, r, s) {
+	rings := limit / rw
+	q := fitSearch{d: dens, in: in, from: l.PlacementOf(in), w: in.Master.WidthSites, selfRow: -1}
+	if q.from.Placed {
+		q.selfRow, q.selfLo, q.selfHi = q.from.Row, q.from.Site, q.from.Site+q.w
+	}
+	near = min(near, rings+1)
+	for d := 0; d < near; d++ {
+		for dr := max(-d, -tr); dr <= min(d, l.NumRows-1-tr); dr++ {
+			r, span := tr+dr, (d-abs(dr))*rw
+			for _, s := range [2]int{ts - span, ts + span} {
+				if s >= 0 && s+q.w <= l.SitesPerRow && l.CanPlace(in, r, s) && dens.fits(in, q.from, r, s) {
 					return r, s, true
+				}
+				if span == 0 {
+					break // ts-0 and ts+0 are the same site
 				}
 			}
 		}
 	}
-	return 0, 0, false
+	band := max(bandSites/rw, 1)
+	bestRing, bestDr, bestRow, bestSite := rings+1, 0, 0, 0
+	for lo := near; lo <= rings && bestRing > rings; lo += band {
+		hi := min(lo+band-1, rings)
+		for a := 0; a <= hi && a <= bestRing; a++ {
+			for _, dr := range [2]int{-a, a} {
+				r := tr + dr
+				if r < 0 || r >= l.NumRows {
+					continue
+				}
+				site, j, ok := q.row(r, ts, max(lo-a, 0), min(hi, bestRing)-a)
+				// j ≤ bestRing-a, so only an equal ring with a smaller dr ties.
+				if ok && (a+j < bestRing || dr < bestDr) {
+					bestRing, bestDr, bestRow, bestSite = a+j, dr, r, site
+				}
+				if a == 0 {
+					break
+				}
+			}
+		}
+	}
+	return bestRow, bestSite, bestRing <= rings
 }
 
 func abs(x int) int {

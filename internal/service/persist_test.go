@@ -437,7 +437,12 @@ func TestReadyzDrainThenFinalCheckpointOrdering(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
-	job, err := m.Submit(testExploreSpec())
+	// The job must still be running when the 100 ms drain below expires,
+	// however fast the machine evaluates, so it explores far longer than
+	// testExploreSpec; the drain cancels it long before it could finish.
+	spec := testExploreSpec()
+	spec.Explore.Generations = 400
+	job, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

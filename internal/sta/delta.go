@@ -74,7 +74,7 @@ func AnalyzeDelta(l *layout.Layout, opt Options, donor *Result, changed []bool) 
 	g := donor.graph
 
 	e := &engine{
-		l: l, opt: opt, period: period,
+		l: l, opt: opt, period: period, g: g,
 		netArr:  append([]float64(nil), donor.netArr...),
 		netWire: append([]float64(nil), donor.netWire...),
 		netReq:  append([]float64(nil), donor.netReq...),
@@ -135,9 +135,10 @@ func AnalyzeDelta(l *layout.Layout, opt Options, donor *Result, changed []bool) 
 			}
 			ds.ConeInsts++
 			in := nl.Insts[iid]
+			pins := g.connPins(int(iid))
 			// Re-evaluate and propagate only outputs whose arrival moved.
-			for _, oc := range in.Conns {
-				p := in.Master.Pin(oc.Pin)
+			for k, oc := range in.Conns {
+				p := pinAt(in.Master, pins[k])
 				if p == nil || p.Dir != tech.Output || oc.Net == nil {
 					continue
 				}
@@ -162,8 +163,9 @@ func AnalyzeDelta(l *layout.Layout, opt Options, donor *Result, changed []bool) 
 		if g.instLevel[drv.ID] < 0 {
 			return // required times only flow through combinational cells
 		}
-		for _, c := range drv.Conns {
-			p := drv.Master.Pin(c.Pin)
+		pins := g.connPins(drv.ID)
+		for k, c := range drv.Conns {
+			p := pinAt(drv.Master, pins[k])
 			if p == nil || p.Dir != tech.Input || p.IsClock || c.Net == nil {
 				continue
 			}
@@ -219,26 +221,4 @@ func AnalyzeDelta(l *layout.Layout, opt Options, donor *Result, changed []bool) 
 	res.netArr, res.netWire, res.netReq, res.netCap = e.netArr, e.netWire, e.netReq, e.netCap
 	res.graph = g
 	return res, ds, nil
-}
-
-// evalCombOne recomputes the arrival of a single output net of a
-// combinational cell (the per-output body of evalComb).
-func (e *engine) evalCombOne(in *netlist.Instance, oc netlist.PinConn) {
-	worst := 0.0
-	for _, ic := range in.Conns {
-		ip := in.Master.Pin(ic.Pin)
-		if ip == nil || ip.Dir != tech.Input || ip.IsClock || ic.Net == nil {
-			continue
-		}
-		arc := in.Master.Arc(ic.Pin, oc.Pin)
-		if arc == nil {
-			continue
-		}
-		arrIn := e.netArr[ic.Net.ID] + e.netWire[ic.Net.ID]
-		d := arrIn + arc.Intrinsic + arc.DriveRes*e.netLoad(oc.Net)
-		if d > worst {
-			worst = d
-		}
-	}
-	e.netArr[oc.Net.ID] = worst
 }

@@ -54,6 +54,56 @@ type Graph struct {
 	// netsAtDepth buckets every net ID by netDepth, ascending depth,
 	// ascending ID within a bucket.
 	netsAtDepth [][]int32
+
+	// connPin and sinkPin are the library pins the analysis reads,
+	// resolved once: connPin[connStart[id]+k] indexes the Master.Pins of
+	// instance id for its k-th connection, sinkPin[sinkStart[id]+k] that
+	// of net id's k-th sink, each -1 where Master.Pin returns nil (a port
+	// sink, or a pin the master lacks). Plain int32s, so the collector
+	// never scans them.
+	connStart, sinkStart []int32
+	connPin, sinkPin     []int32
+}
+
+// connPins returns the resolved pin of each of instance id's connections,
+// in Conns order.
+func (g *Graph) connPins(id int) []int32 {
+	return g.connPin[g.connStart[id]:g.connStart[id+1]]
+}
+
+// sinkPins returns the resolved pin of each of net id's sinks, in Sinks
+// order.
+func (g *Graph) sinkPins(id int) []int32 {
+	return g.sinkPin[g.sinkStart[id]:g.sinkStart[id+1]]
+}
+
+// resolvePins fills the graph's pin arrays from the netlist.
+func (g *Graph) resolvePins(nl *netlist.Netlist) {
+	g.connStart = make([]int32, len(nl.Insts)+1)
+	for i, in := range nl.Insts {
+		g.connStart[i+1] = g.connStart[i] + int32(len(in.Conns))
+	}
+	g.connPin = make([]int32, g.connStart[len(nl.Insts)])
+	for i, in := range nl.Insts {
+		pins := g.connPins(i)
+		for k, c := range in.Conns {
+			pins[k] = int32(in.Master.PinIndex(c.Pin))
+		}
+	}
+	g.sinkStart = make([]int32, len(nl.Nets)+1)
+	for i, n := range nl.Nets {
+		g.sinkStart[i+1] = g.sinkStart[i] + int32(len(n.Sinks))
+	}
+	g.sinkPin = make([]int32, g.sinkStart[len(nl.Nets)])
+	for i, n := range nl.Nets {
+		pins := g.sinkPins(i)
+		for k, s := range n.Sinks {
+			pins[k] = -1
+			if !s.IsPort() {
+				pins[k] = int32(s.Inst.Master.PinIndex(s.Pin))
+			}
+		}
+	}
 }
 
 // NumLevels returns the number of combinational levels.
@@ -71,6 +121,7 @@ func BuildGraph(nl *netlist.Netlist) (*Graph, error) {
 	for i := range g.instLevel {
 		g.instLevel[i] = -1
 	}
+	g.resolvePins(nl)
 
 	// Kahn's algorithm over the combinational edges (same edge guards as
 	// netlist.TopoOrder), tracking the longest-path level of each node.
@@ -83,8 +134,9 @@ func BuildGraph(nl *netlist.Netlist) (*Graph, error) {
 		}
 		comb++
 		g.instLevel[in.ID] = 0
-		for _, c := range in.Conns {
-			p := in.Master.Pin(c.Pin)
+		pins := g.connPins(in.ID)
+		for k, c := range in.Conns {
+			p := pinAt(in.Master, pins[k])
 			if p == nil || p.Dir != tech.Input || p.IsClock || c.Net == nil {
 				continue
 			}

@@ -108,7 +108,7 @@ func AnalyzeWithGraph(l *layout.Layout, opt Options, g *Graph) (*Result, error) 
 	}
 
 	e := &engine{
-		l: l, opt: opt, period: period,
+		l: l, opt: opt, period: period, g: g,
 		netArr:  make([]float64, len(nl.Nets)),
 		netWire: make([]float64, len(nl.Nets)),
 		netReq:  make([]float64, len(nl.Nets)),
@@ -190,6 +190,7 @@ type engine struct {
 	l      *layout.Layout
 	opt    Options
 	period float64
+	g      *Graph // the netlist's levels and resolved pins
 
 	netArr  []float64 // arrival at driver output pin
 	netWire []float64 // distributed wire delay driver->sink
@@ -239,12 +240,13 @@ func (e *engine) characterize(n *netlist.Net) {
 	}
 	e.netWire[n.ID] = 0.5 * rw * cw
 	pinCap := 0.0
-	for _, s := range n.Sinks {
+	pins := e.g.sinkPins(n.ID)
+	for k, s := range n.Sinks {
 		if s.IsPort() {
 			pinCap += 2.0 // output pad load
 			continue
 		}
-		if p := s.Inst.Master.Pin(s.Pin); p != nil {
+		if p := pinAt(s.Inst.Master, pins[k]); p != nil {
 			pinCap += p.Cap
 		}
 	}
@@ -255,8 +257,9 @@ func (e *engine) netLoad(n *netlist.Net) float64 { return e.netCap[n.ID] }
 
 // launchSeq sets the clk->Q arrival of a sequential cell's output nets.
 func (e *engine) launchSeq(in *netlist.Instance) {
-	for _, c := range in.Conns {
-		p := in.Master.Pin(c.Pin)
+	pins := e.g.connPins(in.ID)
+	for k, c := range in.Conns {
+		p := pinAt(in.Master, pins[k])
 		if p == nil || p.Dir != tech.Output || c.Net == nil {
 			continue
 		}
@@ -275,29 +278,37 @@ func (e *engine) launchSeq(in *netlist.Instance) {
 // Pure per instance: reads only strictly lower-level nets, writes only its
 // own (single-driver) output nets.
 func (e *engine) evalComb(in *netlist.Instance) {
-	for _, oc := range in.Conns {
-		p := in.Master.Pin(oc.Pin)
+	pins := e.g.connPins(in.ID)
+	for k, oc := range in.Conns {
+		p := pinAt(in.Master, pins[k])
 		if p == nil || p.Dir != tech.Output || oc.Net == nil {
 			continue
 		}
-		worst := 0.0
-		for _, ic := range in.Conns {
-			ip := in.Master.Pin(ic.Pin)
-			if ip == nil || ip.Dir != tech.Input || ip.IsClock || ic.Net == nil {
-				continue
-			}
-			arc := in.Master.Arc(ic.Pin, oc.Pin)
-			if arc == nil {
-				continue
-			}
-			arrIn := e.netArr[ic.Net.ID] + e.netWire[ic.Net.ID]
-			d := arrIn + arc.Intrinsic + arc.DriveRes*e.netLoad(oc.Net)
-			if d > worst {
-				worst = d
-			}
-		}
-		e.netArr[oc.Net.ID] = worst
+		e.evalCombOne(in, oc)
 	}
+}
+
+// evalCombOne computes the arrival of a single output net of a
+// combinational cell: the worst over its input arcs.
+func (e *engine) evalCombOne(in *netlist.Instance, oc netlist.PinConn) {
+	pins := e.g.connPins(in.ID)
+	worst := 0.0
+	for k, ic := range in.Conns {
+		ip := pinAt(in.Master, pins[k])
+		if ip == nil || ip.Dir != tech.Input || ip.IsClock || ic.Net == nil {
+			continue
+		}
+		arc := in.Master.Arc(ic.Pin, oc.Pin)
+		if arc == nil {
+			continue
+		}
+		arrIn := e.netArr[ic.Net.ID] + e.netWire[ic.Net.ID]
+		d := arrIn + arc.Intrinsic + arc.DriveRes*e.netLoad(oc.Net)
+		if d > worst {
+			worst = d
+		}
+	}
+	e.netArr[oc.Net.ID] = worst
 }
 
 // reqForNet computes the required time at the net's driver pin: the min
@@ -307,7 +318,8 @@ func (e *engine) evalComb(in *netlist.Instance) {
 // value equals the sequential reverse-topological accumulation exactly.
 func (e *engine) reqForNet(n *netlist.Net) float64 {
 	req := math.Inf(1)
-	for _, s := range n.Sinks {
+	spins := e.g.sinkPins(n.ID)
+	for k, s := range n.Sinks {
 		if s.IsPort() {
 			if r := e.period - e.opt.Constraints.OutputDelayPS - e.netWire[n.ID]; r < req {
 				req = r
@@ -315,7 +327,7 @@ func (e *engine) reqForNet(n *netlist.Net) float64 {
 			continue
 		}
 		in := s.Inst
-		ip := in.Master.Pin(s.Pin)
+		ip := pinAt(in.Master, spins[k])
 		if in.Master.Class == tech.Seq {
 			if ip != nil && !ip.IsClock && ip.Dir == tech.Input {
 				if r := e.period - in.Master.Setup - e.netWire[n.ID]; r < req {
@@ -330,8 +342,9 @@ func (e *engine) reqForNet(n *netlist.Net) float64 {
 		if ip == nil || ip.Dir != tech.Input || ip.IsClock {
 			continue
 		}
-		for _, oc := range in.Conns {
-			p := in.Master.Pin(oc.Pin)
+		pins := e.g.connPins(in.ID)
+		for j, oc := range in.Conns {
+			p := pinAt(in.Master, pins[j])
 			if p == nil || p.Dir != tech.Output || oc.Net == nil {
 				continue
 			}
@@ -365,12 +378,13 @@ func (e *engine) record(nl *netlist.Netlist, res *Result) {
 	}
 	for _, n := range nl.Nets {
 		arrAtSink := e.netArr[n.ID] + e.netWire[n.ID]
-		for _, s := range n.Sinks {
+		pins := e.g.sinkPins(n.ID)
+		for k, s := range n.Sinks {
 			switch {
 			case s.IsPort():
 				record(e.period - e.opt.Constraints.OutputDelayPS - arrAtSink)
 			case s.Inst.Master.Class == tech.Seq:
-				if p := s.Inst.Master.Pin(s.Pin); p != nil && !p.IsClock && p.Dir == tech.Input {
+				if p := pinAt(s.Inst.Master, pins[k]); p != nil && !p.IsClock && p.Dir == tech.Input {
 					record(e.period - s.Inst.Master.Setup - arrAtSink)
 				}
 			}
@@ -385,11 +399,12 @@ func (e *engine) record(nl *netlist.Netlist, res *Result) {
 // pure per instance (reads only net arrays).
 func (e *engine) instWorstSlack(in *netlist.Instance) float64 {
 	worst := math.Inf(1)
-	for _, c := range in.Conns {
+	pins := e.g.connPins(in.ID)
+	for k, c := range in.Conns {
 		if c.Net == nil {
 			continue
 		}
-		p := in.Master.Pin(c.Pin)
+		p := pinAt(in.Master, pins[k])
 		if p == nil || p.IsClock || c.Net.IsClock {
 			continue
 		}
@@ -399,6 +414,14 @@ func (e *engine) instWorstSlack(in *netlist.Instance) float64 {
 		}
 	}
 	return worst
+}
+
+// pinAt returns the pin a graph's resolved index names, or nil for -1.
+func pinAt(c *tech.Cell, i int32) *tech.Pin {
+	if i < 0 {
+		return nil
+	}
+	return &c.Pins[i]
 }
 
 func clockPinName(c *tech.Cell) string {

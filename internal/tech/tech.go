@@ -126,14 +126,24 @@ type Cell struct {
 
 // Pin returns the named pin, or nil if the cell has no such pin.
 func (c *Cell) Pin(name string) *Pin {
+	i := c.PinIndex(name)
+	if i < 0 {
+		return nil
+	}
+	return &c.Pins[i]
+}
+
+// PinIndex returns the index in Pins of the pin Pin returns, or -1 if the
+// cell has no such pin.
+func (c *Cell) PinIndex(name string) int {
 	if c.pinIndex == nil {
 		c.buildPinIndex()
 	}
 	i, ok := c.pinIndex[name]
 	if !ok {
-		return nil
+		return -1
 	}
-	return &c.Pins[i]
+	return i
 }
 
 func (c *Cell) buildPinIndex() {
