@@ -269,9 +269,10 @@ func runOperator(l *layout.Layout, base *Baseline, p Params, from int, acc LDARe
 // the metrics are normalized against; nil evaluates the baseline itself
 // (Security is 1.0 by construction and the timing analysis levelizes the
 // graph). d is the arena whose memoized route geometry (keyed by
-// res.Params' OpKey) the route stage reuses; nil builds the geometry
-// afresh. The result's Metrics.Runtime is the wall time of the evaluation
-// itself (run widens it to the whole flow).
+// res.Params' OpKey) the route stage reuses and in whose workspaces the
+// route, timing and security stages run; nil builds the geometry and
+// every analysis afresh. The result's Metrics.Runtime is the wall time
+// of the evaluation itself (run widens it to the whole flow).
 func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, res *Result) (err error) {
 	start := time.Now()
 	end := beginEval()
@@ -292,7 +293,7 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 			return err
 		}},
 		{StageTiming, func() (err error) {
-			timing, err = timingStage(l, cfg, ref, routes)
+			timing, err = timingStage(l, cfg, ref, d, routes)
 			return err
 		}},
 		{StagePower, func() (err error) {
@@ -300,7 +301,11 @@ func evaluate(ctx context.Context, l *layout.Layout, cfg FlowConfig, ref *Baseli
 			return err
 		}},
 		{StageSecurity, func() (err error) {
-			assess, err = security.Assess(l, routes, timing, cfg.Security)
+			if d == nil {
+				assess, err = security.Assess(l, routes, timing, cfg.Security)
+			} else {
+				assess, err = d.assess.Assess(l, routes, timing, cfg.Security)
+			}
 			return err
 		}},
 		{StageDRC, func() error {
@@ -363,13 +368,18 @@ func routeStage(l *layout.Layout, cfg FlowConfig, d *Scratch, p Params) (*route.
 }
 
 // timingStage analyzes the routed layout over the whole graph, reusing the
-// baseline's levelization when there is a reference baseline.
-func timingStage(l *layout.Layout, cfg FlowConfig, ref *Baseline, routes *route.Result) (*sta.Result, error) {
+// baseline's levelization when there is a reference baseline, in the
+// arena's STA workspace when there is an arena.
+func timingStage(l *layout.Layout, cfg FlowConfig, ref *Baseline, d *Scratch, routes *route.Result) (*sta.Result, error) {
 	var graph *sta.Graph
 	if ref != nil {
 		graph = ref.TimingGraph()
 	}
-	return sta.AnalyzeWithGraph(l, sta.Options{Constraints: cfg.Constraints, Routes: routes}, graph)
+	opt := sta.Options{Constraints: cfg.Constraints, Routes: routes}
+	if d == nil {
+		return sta.AnalyzeWithGraph(l, opt, graph)
+	}
+	return d.timing.Analyze(l, opt, graph)
 }
 
 // pinCritical temporarily marks cells with slack below marginPS as Fixed;

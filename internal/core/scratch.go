@@ -5,6 +5,8 @@ import (
 
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/route"
+	"gdsiiguard/internal/security"
+	"gdsiiguard/internal/sta"
 )
 
 // Scratch is a reusable evaluation arena for metrics-only exploration.
@@ -18,6 +20,10 @@ import (
 // from Preprocess/pinCritical, the NDR scale vector, LDA's transient
 // blockages) are restored from snapshots taken at construction time.
 //
+// The analyses run in the arena's memory too: every evaluation's route,
+// timing analysis and security assessment is built in the arena's route,
+// STA and security workspaces, over the last evaluation's.
+//
 // The restore runs at the START of each evaluation, not the end, so a
 // Scratch self-heals: an evaluation that errors out mid-flow leaves the
 // arena dirty, and the next use first rewinds it to the pristine state.
@@ -30,9 +36,12 @@ type Scratch struct {
 	// memo is the baseline's shared cross-chromosome stage cache, the
 	// source of every evaluation's operator placement and route geometry.
 	memo *StageMemo
-	// routes is the memory every evaluation's route is built in; each
-	// route overwrites the last one's result.
+	// routes, timing and assess are the memory every evaluation's route,
+	// timing analysis and security assessment are built in; each
+	// overwrites the last evaluation's result.
 	routes route.Workspace
+	timing sta.Workspace
+	assess security.Workspace
 
 	// Pristine state the arena is rewound to before each evaluation.
 	baseFixed     []bool
@@ -91,11 +100,11 @@ func (s *Scratch) Run(p Params) (*Result, error) {
 // RunCtx evaluates one parameter vector exactly like core.RunCtx — same
 // pipeline, same metrics — but on the reusable arena instead of a fresh
 // clone. The result carries Metrics and operator telemetry only: Layout,
-// Routes, Timing and Assessment are stripped, because they alias (or
-// reference instances of) the arena, which the next evaluation mutates —
-// the route in particular lives in the arena's route workspace and is
-// valid only until the next evaluation routes over it. Callers that need
-// the hardened layout itself use core.RunCtx.
+// Routes, Timing and Assessment are stripped, because the next evaluation
+// rewrites them in place — the layout is the arena's, and the route,
+// timing and assessment live in the arena's workspaces, each valid only
+// until the next evaluation's route, analysis or assessment. Callers that
+// need the hardened layout or its analyses use core.RunCtx.
 func (s *Scratch) RunCtx(ctx context.Context, p Params) (*Result, error) {
 	res, err := run(ctx, s.base, s, p)
 	if err != nil {

@@ -179,3 +179,60 @@ func TestScratchRoutesAcrossOpKeysMatchRun(t *testing.T) {
 	}
 	t.Logf("%d evaluations, %d rip-up victims", len(params), victims)
 }
+
+// TestScratchAnalyzesInArenaMemory alternates one arena between Cell
+// Shift and LDA placements and NDR scales on PRESENT. Each evaluation's
+// timing and assessment — read before the arena strips them — must equal
+// core.Run's, which analyzes afresh, and must live in the memory the
+// arena's first evaluation used.
+func TestScratchAnalyzesInArenaMemory(t *testing.T) {
+	d, err := benchdesigns.Build("PRESENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := EvalBaseline(d.Layout, FlowConfig{Constraints: d.Cons, Activity: d.Spec.Activity, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := base.Layout.Lib().NumLayers()
+	cs, lda := DefaultParams(k), DefaultParams(k)
+	lda.Op, lda.LDAGridN, lda.LDAIters = LDA, 4, 2
+	wide := cs.Clone()
+	for i := range wide.ScaleM {
+		wide.ScaleM[i] = 1.5
+	}
+	s := NewScratch(base)
+	var first *Result
+	for i, p := range []Params{cs, lda, wide, cs} {
+		want, err := Run(base, p)
+		if err != nil {
+			t.Fatalf("Run(%d): %v", i, err)
+		}
+		got, err := run(context.Background(), base, s, p)
+		if err != nil {
+			t.Fatalf("arena run(%d): %v", i, err)
+		}
+		label := fmt.Sprintf("%d %s %s", i, p.OpKey(), p.ScaleKey())
+		sameMetrics(t, label, got.Metrics, want.Metrics)
+		for _, in := range got.Layout.Netlist.Insts {
+			if g, w := got.Timing.InstSlack(in), want.Timing.InstSlack(in); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: %s slack %v, want %v", label, in.Name, g, w)
+			}
+		}
+		ga, wa := got.Assessment, want.Assessment
+		if ga.ExploitableSites != wa.ExploitableSites || ga.FreeSites != wa.FreeSites || ga.Assets != wa.Assets ||
+			len(ga.Regions) != len(wa.Regions) {
+			t.Fatalf("%s: assessment %+v, want %+v", label, *ga, *wa)
+		}
+		for r := range wa.Regions {
+			if ga.Regions[r].Sites != wa.Regions[r].Sites || !slices.Equal(ga.Regions[r].Runs, wa.Regions[r].Runs) {
+				t.Fatalf("%s: region %d differs", label, r)
+			}
+		}
+		if first == nil {
+			first = got
+		} else if got.Timing != first.Timing || got.Assessment != first.Assessment {
+			t.Fatalf("%s: the arena analyzed into new memory", label)
+		}
+	}
+}

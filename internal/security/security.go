@@ -20,7 +20,7 @@ package security
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
@@ -84,41 +84,88 @@ type Assessment struct {
 // distance of an asset counts, i.e. the loose-timing worst case). routes
 // supplies track usage for ERtracks (nil leaves ERTracks at zero).
 func Assess(l *layout.Layout, routes *route.Result, timing *sta.Result, p Params) (*Assessment, error) {
+	return assess(l, routes, timing, p, nil)
+}
+
+// Workspace is the memory of an assessment, recycled from one Assess to
+// the next: the Assessment itself, its Regions and the one slab their Runs
+// are carved from, the flat exploitable mask and chamfer buffer, the
+// assets' slacks, and the run list, per-row run offsets and union-find
+// arrays of the region search. Every assessment rewrites everything it
+// reads before it reads it, so an assessment in a workspace equals a fresh
+// one whatever the workspace last held.
+//
+// An Assessment computed in a workspace is valid only until the
+// workspace's next Assess, which rewrites it in place. A Workspace is not
+// safe for concurrent use.
+type Workspace struct {
+	a       *Assessment
+	regions []Region
+	slab    []layout.SiteRun // every region's Runs, region after region
+
+	mask   []bool  // exploitable sites, row-major
+	reach  []int64 // remaining exploitable distance per site, row-major
+	slacks []float64
+
+	runs    []layout.SiteRun // maximal runs of exploitable sites, row by row
+	rowRuns []int32          // row r's runs are runs[rowRuns[r]:rowRuns[r+1]]
+	parent  []int32          // union-find over runs, then each run's group
+	groupOf []int32          // the group of each union-find root
+	groups  []group
+}
+
+// group is one connected component of runs, in order of its first run.
+type group struct {
+	sites int
+	// runs counts the component's runs; next is where its next run goes
+	// in the slab (-1 below the threshold).
+	runs, next int32
+}
+
+// Assess is Assess into the workspace's memory, equal to it. The result
+// is valid until the workspace's next Assess.
+func (ws *Workspace) Assess(l *layout.Layout, routes *route.Result, timing *sta.Result, p Params) (*Assessment, error) {
+	return assess(l, routes, timing, p, ws)
+}
+
+// assess is the assessment kernel. It works in ws, or in a fresh workspace
+// when ws is nil: that Assessment holds only its regions and their runs.
+func assess(l *layout.Layout, routes *route.Result, timing *sta.Result, p Params, ws *Workspace) (*Assessment, error) {
 	if p.ThreshER <= 0 {
 		return nil, fmt.Errorf("security: ThreshER must be positive")
 	}
 	if p.TrojanCell == "" {
 		p.TrojanCell = "NAND2_X1"
 	}
-	a := &Assessment{}
-
-	exploitable := exploitableMask(l)
-	for _, row := range exploitable {
-		for _, e := range row {
-			if e {
-				a.FreeSites++
-			}
-		}
+	if ws == nil {
+		ws = new(Workspace)
 	}
-
-	radius, nAssets, err := assetRadii(l, timing, p)
+	radius, nAssets, err := ws.assetRadius(l, timing, p)
 	if err != nil {
 		return nil, err
 	}
-	a.Assets = nAssets
-	reach := reachMask(l, radius)
+	if ws.a == nil {
+		ws.a = new(Assessment)
+	}
+	a := ws.a
+	*a = Assessment{Assets: nAssets}
 
+	ws.exploitableMask(l)
+	ws.reachMask(l, radius)
 	// Exploitable sites: free AND within reach.
-	for r := 0; r < l.NumRows; r++ {
-		for s := 0; s < l.SitesPerRow; s++ {
-			exploitable[r][s] = exploitable[r][s] && reach[r][s] >= 0
-			if exploitable[r][s] {
-				a.ExploitableSites++
-			}
+	for i, free := range ws.mask {
+		if !free {
+			continue
+		}
+		a.FreeSites++
+		if ws.reach[i] >= 0 {
+			a.ExploitableSites++
+		} else {
+			ws.mask[i] = false
 		}
 	}
 
-	a.Regions = components(l, exploitable, p.ThreshER)
+	a.Regions = ws.components(l, p.ThreshER)
 	for _, reg := range a.Regions {
 		a.ERSites += reg.Sites
 		if routes != nil {
@@ -131,6 +178,15 @@ func Assess(l *layout.Layout, routes *route.Result, timing *sta.Result, p Params
 		}
 	}
 	return a, nil
+}
+
+// sized returns buf resliced to n, or a new slice when its capacity is
+// short; the contents are stale either way.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Score is the paper's security objective: the α-weighted normalized sum of
@@ -147,20 +203,28 @@ func Score(opt, base *Assessment, alpha float64) float64 {
 	return s
 }
 
-// exploitableMask marks sites that are free for Trojan insertion: empty,
-// held by non-functional cells (fillers, taps), or held by dangling
-// functional cells — cells none of whose outputs is observed, which an
-// attacker can remove or repurpose (Definition 2.2).
-func exploitableMask(l *layout.Layout) [][]bool {
-	mask := make([][]bool, l.NumRows)
-	for r := 0; r < l.NumRows; r++ {
-		mask[r] = make([]bool, l.SitesPerRow)
-		for s := 0; s < l.SitesPerRow; s++ {
-			in := l.At(r, s)
-			mask[r][s] = in == nil || !in.Master.IsFunctional() || isDangling(in)
-		}
+// exploitableMask marks, in ws.mask, the sites that are free for Trojan
+// insertion: empty, held by non-functional cells (fillers, taps), or held
+// by dangling functional cells — cells none of whose outputs is observed,
+// which an attacker can remove or repurpose (Definition 2.2). Every site
+// starts free; each placed functional cell that is not dangling clears
+// the sites it occupies, which are exactly its placement's.
+func (ws *Workspace) exploitableMask(l *layout.Layout) {
+	w := l.SitesPerRow
+	ws.mask = sized(ws.mask, l.NumRows*w)
+	for i := range ws.mask {
+		ws.mask[i] = true
 	}
-	return mask
+	for _, in := range l.Netlist.Insts {
+		if !in.Master.IsFunctional() {
+			continue
+		}
+		pl := l.PlacementOf(in)
+		if !pl.Placed || isDangling(in) {
+			continue
+		}
+		clear(ws.mask[pl.Row*w+pl.Site : pl.Row*w+pl.Site+in.Master.WidthSites])
+	}
 }
 
 // isDangling reports whether a functional cell has outputs but none of them
@@ -179,15 +243,16 @@ func isDangling(in *netlist.Instance) bool {
 	return hasOutput && !observed
 }
 
-// assetRadii computes each security-critical instance's exploitable
+// assetRadius computes the security-critical instances' exploitable
 // distance in DBU, per the paper's procedure: take the slack of paths
-// through the asset, subtract the inserted NAND's delay, and convert the
-// remaining slack into routing distance via the wire RC model.
-func assetRadii(l *layout.Layout, timing *sta.Result, p Params) (map[*netlist.Instance]int64, int, error) {
+// through the assets, subtract the inserted NAND's delay, and convert the
+// remaining slack into routing distance via the wire RC model. It also
+// returns the number of assets.
+func (ws *Workspace) assetRadius(l *layout.Layout, timing *sta.Result, p Params) (int64, int, error) {
 	lib := l.Lib()
 	trojan := lib.Cell(p.TrojanCell)
 	if trojan == nil {
-		return nil, 0, fmt.Errorf("security: trojan cell %q not in library", p.TrojanCell)
+		return 0, 0, fmt.Errorf("security: trojan cell %q not in library", p.TrojanCell)
 	}
 	maxRadius := p.MaxRadiusDBU
 	if maxRadius <= 0 {
@@ -201,8 +266,11 @@ func assetRadii(l *layout.Layout, timing *sta.Result, p Params) (map[*netlist.In
 		nandIntrinsic = trojan.Arcs[0].Intrinsic
 		nandRes = trojan.Arcs[0].DriveRes
 	}
-	if ins := trojan.InputPins(); len(ins) > 0 {
-		nandInCap = ins[0].Cap
+	for _, pin := range trojan.Pins { // the first of InputPins, unallocated
+		if pin.Dir == tech.Input && !pin.IsClock {
+			nandInCap = pin.Cap
+			break
+		}
 	}
 	// Wire RC on the estimation layer (metal3), derated for the attacker's
 	// detoured, via-heavy routing.
@@ -225,9 +293,12 @@ func assetRadii(l *layout.Layout, timing *sta.Result, p Params) (map[*netlist.In
 	// The design-wide exploitable distance derives from the lower quartile
 	// of the assets' positive path slacks: representative of the tightly
 	// constrained asset paths while robust to a few off-path outliers.
-	var slacks []float64
+	slacks := ws.slacks[:0]
 	n := 0
-	for _, in := range l.Netlist.CriticalInsts() {
+	for _, in := range l.Netlist.Insts {
+		if !in.SecurityCritical {
+			continue
+		}
 		n++
 		if timing == nil {
 			continue
@@ -238,12 +309,13 @@ func assetRadii(l *layout.Layout, timing *sta.Result, p Params) (map[*netlist.In
 		}
 		slacks = append(slacks, s)
 	}
+	ws.slacks = slacks
 	slack := math.Inf(1)
 	if timing != nil {
 		if len(slacks) == 0 {
 			slack = 0
 		} else {
-			sort.Float64s(slacks)
+			slices.Sort(slacks)
 			slack = slacks[len(slacks)/4]
 		}
 	}
@@ -271,141 +343,174 @@ func assetRadii(l *layout.Layout, timing *sta.Result, p Params) (map[*netlist.In
 			}
 		}
 	}
-	radii := make(map[*netlist.Instance]int64)
-	for _, in := range l.Netlist.CriticalInsts() {
-		radii[in] = radius
-	}
-	return radii, n, nil
+	return radius, n, nil
 }
 
-// reachMask computes, for every site, the maximal remaining budget
-// max_a(radius_a − manhattanDist(site, a)) via a two-pass chamfer sweep;
-// a site is within exploitable distance iff its value is ≥ 0. Sites
-// unreachable from any asset hold a large negative value.
-func reachMask(l *layout.Layout, radius map[*netlist.Instance]int64) [][]int64 {
+// reachMask computes in ws.reach, for every site, the maximal remaining
+// budget max_a(radius − manhattanDist(site, a)) over the placed assets a
+// via a two-pass chamfer sweep; a site is within exploitable distance iff
+// its value is ≥ 0. Sites unreachable from any asset hold a large negative
+// value.
+func (ws *Workspace) reachMask(l *layout.Layout, radius int64) {
 	const negInf = int64(math.MinInt64 / 4)
 	w, h := l.SitesPerRow, l.NumRows
 	siteW, siteH := l.Lib().Site.Width, l.Lib().Site.Height
-	phi := make([][]int64, h)
-	for r := range phi {
-		phi[r] = make([]int64, w)
-		for s := range phi[r] {
-			phi[r][s] = negInf
-		}
+	phi := sized(ws.reach, w*h)
+	ws.reach = phi
+	for i := range phi {
+		phi[i] = negInf
 	}
-	for in, rad := range radius {
+	for _, in := range l.Netlist.Insts {
+		if !in.SecurityCritical {
+			continue
+		}
 		p := l.PlacementOf(in)
 		if !p.Placed {
 			continue
 		}
+		row := phi[p.Row*w : (p.Row+1)*w]
 		for s := p.Site; s < p.Site+in.Master.WidthSites && s < w; s++ {
-			if rad > phi[p.Row][s] {
-				phi[p.Row][s] = rad
+			if radius > row[s] {
+				row[s] = radius
 			}
 		}
 	}
 	// Forward sweep.
 	for r := 0; r < h; r++ {
+		row := phi[r*w : (r+1)*w]
 		for s := 0; s < w; s++ {
-			if s > 0 && phi[r][s-1]-siteW > phi[r][s] {
-				phi[r][s] = phi[r][s-1] - siteW
+			if s > 0 && row[s-1]-siteW > row[s] {
+				row[s] = row[s-1] - siteW
 			}
-			if r > 0 && phi[r-1][s]-siteH > phi[r][s] {
-				phi[r][s] = phi[r-1][s] - siteH
+			if r > 0 && phi[(r-1)*w+s]-siteH > row[s] {
+				row[s] = phi[(r-1)*w+s] - siteH
 			}
 		}
 	}
 	// Backward sweep.
 	for r := h - 1; r >= 0; r-- {
+		row := phi[r*w : (r+1)*w]
 		for s := w - 1; s >= 0; s-- {
-			if s < w-1 && phi[r][s+1]-siteW > phi[r][s] {
-				phi[r][s] = phi[r][s+1] - siteW
+			if s < w-1 && row[s+1]-siteW > row[s] {
+				row[s] = row[s+1] - siteW
 			}
-			if r < h-1 && phi[r+1][s]-siteH > phi[r][s] {
-				phi[r][s] = phi[r+1][s] - siteH
+			if r < h-1 && phi[(r+1)*w+s]-siteH > row[s] {
+				row[s] = phi[(r+1)*w+s] - siteH
 			}
 		}
 	}
-	return phi
 }
 
-// components finds connected components of marked sites (4-adjacency within
-// rows and across vertically aligned sites of adjacent rows), returning
-// those with weight ≥ thresh as Regions, using run-based union-find.
-func components(l *layout.Layout, mask [][]bool, thresh int) []Region {
-	type run struct {
-		row, start, length int
-	}
-	var runs []run
-	rowRuns := make([][]int, l.NumRows) // indices into runs, per row
-	for r := 0; r < l.NumRows; r++ {
-		start := -1
-		for s := 0; s <= l.SitesPerRow; s++ {
-			marked := s < l.SitesPerRow && mask[r][s]
-			if marked && start < 0 {
-				start = s
+// components finds the connected components of ws.mask's sites
+// (4-adjacency within rows and across vertically aligned sites of adjacent
+// rows) with a union-find over maximal runs, and returns those with weight
+// ≥ thresh as Regions: in order of their first run, each with its runs in
+// run order (row by row, left to right).
+func (ws *Workspace) components(l *layout.Layout, thresh int) []Region {
+	w, h := l.SitesPerRow, l.NumRows
+	runs := ws.runs[:0]
+	rowRuns := sized(ws.rowRuns, h+1)
+	for r := 0; r < h; r++ {
+		rowRuns[r] = int32(len(runs))
+		row := ws.mask[r*w : (r+1)*w]
+		for s := 0; s < w; {
+			if !row[s] {
+				s++
+				continue
 			}
-			if !marked && start >= 0 {
-				rowRuns[r] = append(rowRuns[r], len(runs))
-				runs = append(runs, run{r, start, s - start})
-				start = -1
+			start := s
+			for s < w && row[s] {
+				s++
 			}
+			runs = append(runs, layout.SiteRun{Row: r, Start: start, Len: s - start})
 		}
 	}
-	parent := make([]int, len(runs))
+	rowRuns[h] = int32(len(runs))
+	ws.runs, ws.rowRuns = runs, rowRuns
+
+	parent := sized(ws.parent, len(runs))
+	ws.parent = parent
 	for i := range parent {
-		parent[i] = i
+		parent[i] = int32(i)
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	// Connect vertically overlapping runs in adjacent rows.
-	for r := 1; r < l.NumRows; r++ {
-		for _, i := range rowRuns[r] {
-			for _, j := range rowRuns[r-1] {
-				a, b := runs[i], runs[j]
-				if a.start < b.start+b.length && b.start < a.start+a.length {
-					union(i, j)
+	// Connect vertically overlapping runs in adjacent rows. Both rows' runs
+	// are disjoint and in start order, so a merge that steps past whichever
+	// run ends first meets every overlapping pair.
+	for r := 1; r < h; r++ {
+		i, iEnd := rowRuns[r], rowRuns[r+1]
+		j, jEnd := rowRuns[r-1], rowRuns[r]
+		for i < iEnd && j < jEnd {
+			a, b := runs[i], runs[j]
+			if a.Start < b.Start+b.Len && b.Start < a.Start+a.Len {
+				if ra, rb := find(i), find(j); ra != rb {
+					parent[ra] = rb
 				}
+			}
+			if a.Start+a.Len < b.Start+b.Len {
+				i++
+			} else {
+				j++
 			}
 		}
 	}
-	groups := make(map[int][]int)
-	for i := range runs {
-		root := find(i)
-		groups[root] = append(groups[root], i)
+
+	// Number the components in order of their first run; parent[i]
+	// becomes run i's component.
+	groupOf := sized(ws.groupOf, len(runs))
+	ws.groupOf = groupOf
+	for i := range parent {
+		parent[i] = find(int32(i))
+		groupOf[i] = -1
 	}
-	var out []Region
-	// Deterministic order: iterate runs, emit a region when visiting its
-	// root's first member.
-	emitted := make(map[int]bool)
-	for i := range runs {
-		root := find(i)
-		if emitted[root] {
-			continue
+	groups := ws.groups[:0]
+	for i, root := range parent {
+		g := groupOf[root]
+		if g < 0 {
+			g = int32(len(groups))
+			groupOf[root] = g
+			groups = append(groups, group{})
 		}
-		emitted[root] = true
-		var reg Region
-		for _, j := range groups[root] {
-			reg.Sites += runs[j].length
-			reg.Runs = append(reg.Runs, layout.SiteRun{
-				Row: runs[j].row, Start: runs[j].start, Len: runs[j].length,
-			})
-		}
-		if reg.Sites >= thresh {
-			out = append(out, reg)
+		parent[i] = g
+		groups[g].sites += runs[i].Len
+		groups[g].runs++
+	}
+	ws.groups = groups
+
+	// Carve the regions' runs from one slab, region after region.
+	nRegions, nRuns := 0, int32(0)
+	for g := range groups {
+		groups[g].next = -1
+		if groups[g].sites >= thresh {
+			groups[g].next = nRuns
+			nRuns += groups[g].runs
+			nRegions++
 		}
 	}
-	return out
+	if nRegions == 0 {
+		return nil
+	}
+	slab := sized(ws.slab, int(nRuns))
+	regions := sized(ws.regions, nRegions)
+	ws.slab, ws.regions = slab, regions
+	k := 0
+	for _, g := range groups {
+		if g.next >= 0 {
+			regions[k] = Region{Sites: g.sites, Runs: slab[g.next : g.next+g.runs : g.next+g.runs]}
+			k++
+		}
+	}
+	for i, g := range parent {
+		if next := groups[g].next; next >= 0 {
+			slab[next] = runs[i]
+			groups[g].next++
+		}
+	}
+	return regions
 }

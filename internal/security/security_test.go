@@ -328,3 +328,24 @@ func BenchmarkAssess(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAssessWorkspace is BenchmarkAssess in a workspace that has
+// already held one assessment of the layout.
+func BenchmarkAssessWorkspace(b *testing.B) {
+	l := buildDesign(b, 10, 40, 0.55)
+	routes, err := route.Route(l, route.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := DefaultParams()
+	var ws Workspace
+	if _, err := ws.Assess(l, routes, nil, p); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ws.Assess(l, routes, nil, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -92,6 +92,33 @@ func Analyze(l *layout.Layout, opt Options) (*Result, error) {
 // netlist (nil builds one). The graph depends only on netlist connectivity,
 // so one graph serves every placement/NDR/routing variant of a design.
 func AnalyzeWithGraph(l *layout.Layout, opt Options, g *Graph) (*Result, error) {
+	return analyze(l, opt, g, nil)
+}
+
+// Workspace is the memory of a full analysis, recycled from one Analyze
+// to the next: the Result itself, its four per-net arrays (arrival, wire
+// delay, required time, load) and the per-instance slack. Every analysis
+// rewrites each array before it reads it, so an analysis in a workspace is
+// bit-identical to a fresh one whatever the workspace last held.
+//
+// A Result analyzed in a workspace is valid only until the workspace's
+// next Analyze, which rewrites it in place; it may donate to AnalyzeDelta
+// until then, which copies what it reads. A Workspace is not safe for
+// concurrent use.
+type Workspace struct {
+	res *Result
+	e   engine // keeps the arrays from one analysis to the next
+}
+
+// Analyze is AnalyzeWithGraph into the workspace's memory, bit-identical
+// to it. The result is valid until the workspace's next Analyze.
+func (ws *Workspace) Analyze(l *layout.Layout, opt Options, g *Graph) (*Result, error) {
+	return analyze(l, opt, g, ws)
+}
+
+// analyze is the full analysis. It works in ws, or in a fresh workspace
+// when ws is nil: that Result holds exactly its own arrays.
+func analyze(l *layout.Layout, opt Options, g *Graph, ws *Workspace) (*Result, error) {
 	if err := fault.Hit(fault.STA); err != nil {
 		return nil, err
 	}
@@ -106,21 +133,27 @@ func AnalyzeWithGraph(l *layout.Layout, opt Options, g *Graph) (*Result, error) 
 			return nil, err
 		}
 	}
-
-	e := &engine{
-		l: l, opt: opt, period: period, g: g,
-		netArr:  make([]float64, len(nl.Nets)),
-		netWire: make([]float64, len(nl.Nets)),
-		netReq:  make([]float64, len(nl.Nets)),
-		netCap:  make([]float64, len(nl.Nets)),
+	if ws == nil {
+		ws = new(Workspace)
 	}
+	if ws.res == nil {
+		ws.res = new(Result)
+	}
+	e := &ws.e
+	e.l, e.opt, e.period, e.g = l, opt, period, g
+	// characterize writes every net's wire delay and load, the backward
+	// pass every net's required time (each net sits in one depth bucket)
+	// and the slack pass every instance's slack; only arrivals are read
+	// where nothing drives them, so only they are cleared.
+	e.netArr = sized(e.netArr, len(nl.Nets))
+	clear(e.netArr)
+	e.netWire = sized(e.netWire, len(nl.Nets))
+	e.netReq = sized(e.netReq, len(nl.Nets))
+	e.netCap = sized(e.netCap, len(nl.Nets))
+	e.instSlack = sized(e.instSlack, len(nl.Insts))
 
 	// Net electrical characterization: pure per net.
-	parallelFor(len(nl.Nets), ResolvedWorkers(len(nl.Nets)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e.characterize(nl.Nets[i])
-		}
-	})
+	e.forRange(len(nl.Nets), nil, characterizeNets)
 
 	// Forward propagation. Startpoints first: primary inputs and
 	// sequential clk->Q launches (disjoint single-driver writes).
@@ -129,49 +162,86 @@ func AnalyzeWithGraph(l *layout.Layout, opt Options, g *Graph) (*Result, error) 
 			e.netArr[n.ID] = opt.Constraints.InputDelayPS
 		}
 	}
-	parallelFor(len(nl.Insts), ResolvedWorkers(len(nl.Insts)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if in := nl.Insts[i]; in.Master.Class == tech.Seq {
-				e.launchSeq(in)
-			}
-		}
-	})
+	e.forRange(len(nl.Insts), nil, launchSeqs)
 	// Then the combinational levels, ascending; instances within a level
 	// are independent.
 	for _, level := range g.levels {
-		lv := level
-		parallelFor(len(lv), ResolvedWorkers(len(lv)), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				e.evalComb(nl.Insts[lv[i]])
-			}
-		})
+		e.forRange(len(level), level, evalLevel)
 	}
 
 	// Backward propagation: per-net required times, depth buckets
 	// descending (each net reads only strictly deeper nets).
 	for d := len(g.netsAtDepth) - 1; d >= 0; d-- {
 		bucket := g.netsAtDepth[d]
-		parallelFor(len(bucket), ResolvedWorkers(len(bucket)), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				id := bucket[i]
-				e.netReq[id] = e.reqForNet(nl.Nets[id])
-			}
-		})
+		e.forRange(len(bucket), bucket, reqBucket)
 	}
 
-	res := &Result{PeriodPS: period}
+	res := ws.res
+	*res = Result{PeriodPS: period}
 	e.record(nl, res)
 
 	// Per-instance worst slack: pure per instance.
-	res.instSlack = make([]float64, len(nl.Insts))
-	parallelFor(len(nl.Insts), ResolvedWorkers(len(nl.Insts)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			res.instSlack[i] = e.instWorstSlack(nl.Insts[i])
-		}
-	})
+	e.forRange(len(nl.Insts), nil, instSlacks)
+	res.instSlack = e.instSlack
 	res.netArr, res.netWire, res.netReq, res.netCap = e.netArr, e.netWire, e.netReq, e.netCap
 	res.graph = g
+	// The workspace keeps no reference to the layout or its routes.
+	e.l, e.opt = nil, Options{}
 	return res, nil
+}
+
+// sized returns buf resliced to n, or a new slice when its capacity is
+// short; the contents are stale either way.
+func sized(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// forRange runs step over [0, n): in one call when ResolvedWorkers(n) is
+// 1, otherwise in contiguous chunks on that many goroutines. ids is passed
+// through to step. step is a plain function, not a closure, so the
+// sequential path allocates nothing.
+func (e *engine) forRange(n int, ids []int32, step func(e *engine, ids []int32, lo, hi int)) {
+	if w := ResolvedWorkers(n); w > 1 {
+		parallelFor(n, w, func(lo, hi int) { step(e, ids, lo, hi) })
+		return
+	}
+	step(e, ids, 0, n)
+}
+
+func characterizeNets(e *engine, _ []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.characterize(e.l.Netlist.Nets[i])
+	}
+}
+
+func launchSeqs(e *engine, _ []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if in := e.l.Netlist.Insts[i]; in.Master.Class == tech.Seq {
+			e.launchSeq(in)
+		}
+	}
+}
+
+func evalLevel(e *engine, level []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.evalComb(e.l.Netlist.Insts[level[i]])
+	}
+}
+
+func reqBucket(e *engine, bucket []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		id := bucket[i]
+		e.netReq[id] = e.reqForNet(e.l.Netlist.Nets[id])
+	}
+}
+
+func instSlacks(e *engine, _ []int32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		e.instSlack[i] = e.instWorstSlack(e.l.Netlist.Insts[i])
+	}
 }
 
 func effectivePeriod(opt Options) (float64, error) {
@@ -192,10 +262,11 @@ type engine struct {
 	period float64
 	g      *Graph // the netlist's levels and resolved pins
 
-	netArr  []float64 // arrival at driver output pin
-	netWire []float64 // distributed wire delay driver->sink
-	netReq  []float64 // required time at driver output pin
-	netCap  []float64
+	netArr    []float64 // arrival at driver output pin
+	netWire   []float64 // distributed wire delay driver->sink
+	netReq    []float64 // required time at driver output pin
+	netCap    []float64
+	instSlack []float64 // worst slack through each instance
 }
 
 // characterize computes the wire RC delay and caches the total load of a
