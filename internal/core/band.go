@@ -205,8 +205,10 @@ func layoutRowSource(l *layout.Layout) bandRowSource {
 // band-worker setting. It is the entry point for comparing the sequential
 // and band-parallel paths on SoC-scale layouts.
 func ExploitableFreeMass(l *layout.Layout, threshER int) int {
-	var e shiftEngine
-	return e.exploitableMass(l, threshER)
+	e := enginePool.Get().(*shiftEngine)
+	m := e.exploitableMass(l, threshER)
+	e.release()
+	return m
 }
 
 // ResolvedOperatorBandWorkers reports how many band workers the operator

@@ -264,10 +264,13 @@ func (ix *belowIndex) componentWeight(cur []freeRun, vIdx int) int {
 	return w
 }
 
-// sized returns s resized to n entries, reusing capacity.
+// sized returns s resized to n entries, reusing capacity. A buffer that
+// must grow at least doubles: the dicing stage relabels after every kept
+// move, each of which may add a run, so growing to exactly n would
+// replace its buffers on nearly every relabel.
 func sized(s []int, n int) []int {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]int, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"gdsiiguard/internal/layout"
 )
@@ -42,14 +43,30 @@ func CellShift(l *layout.Layout, threshER int) CellShiftResult {
 // CellShiftWithOptions runs the operator with the dicing stage optionally
 // disabled — the pure Algorithm 1 row passes — for ablation studies.
 func CellShiftWithOptions(l *layout.Layout, threshER int, dice bool) CellShiftResult {
-	var e shiftEngine
-	return e.run(l, threshER, dice)
+	e := enginePool.Get().(*shiftEngine)
+	res := e.run(l, threshER, dice)
+	e.release()
+	return res
+}
+
+// enginePool keeps Cell Shift engines between operator runs, so a run can
+// start from the buffers earlier runs grew (the pool empties at every
+// garbage collection). An engine whose run panicked is dropped rather than
+// returned.
+var enginePool = sync.Pool{New: func() any { return new(shiftEngine) }}
+
+// release forgets the layout the engine last ran on and returns the
+// engine to the pool.
+func (e *shiftEngine) release() {
+	e.massTrace = nil
+	e.dice.forget()
+	enginePool.Put(e)
 }
 
 // shiftEngine owns every buffer of one CellShift invocation, so the hot
 // loops — row scans, component-weight queries, pass rollback — run
 // allocation-free once warm. Not safe for concurrent use; each operator
-// invocation builds its own.
+// invocation takes its own from enginePool.
 type shiftEngine struct {
 	ix     belowIndex
 	runBuf []layout.SiteRun // AppendFreeRuns scratch

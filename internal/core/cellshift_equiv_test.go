@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
+	"gdsiiguard/internal/benchdesigns"
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
 )
@@ -272,5 +275,43 @@ func BenchmarkCellShift(b *testing.B) {
 		work := l.Clone()
 		b.StartTimer()
 		CellShift(work, 20)
+	}
+}
+
+// TestCellShiftPooledRunAllocs: Cell Shift engines come from a pool, so a
+// run after the first starts from the buffers earlier runs grew. A second
+// run on PRESENT allocates only what a fresh layout needs (its placement
+// journal grows from empty), a small constant; without the pool it
+// allocated about 700 times. GOMAXPROCS is 1 and the collector off while
+// it measures, so the run finds the engine the previous one returned.
+func TestCellShiftPooledRunAllocs(t *testing.T) {
+	d, err := benchdesigns.Build("PRESENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	Preprocess(d.Layout)
+	var clones [3]*layout.Layout
+	for i := range clones {
+		clones[i] = d.Layout.Clone()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	CellShift(clones[0], 20)
+	next := 1
+	allocs := testing.AllocsPerRun(1, func() {
+		CellShift(clones[next], 20)
+		next++
+	})
+	t.Logf("second Cell Shift run on PRESENT: %v allocations", allocs)
+	if allocs > 16 {
+		t.Errorf("second Cell Shift run on PRESENT: %v allocations, want at most 16", allocs)
+	}
+	e := enginePool.Get().(*shiftEngine)
+	e.massTrace = new([]int)
+	e.release()
+	e = enginePool.Get().(*shiftEngine)
+	defer enginePool.Put(e)
+	if e.massTrace != nil {
+		t.Error("a pooled engine keeps its mass trace")
 	}
 }

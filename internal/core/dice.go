@@ -18,13 +18,12 @@ import (
 //   - a "split donor" borders the target region itself, so moving it into
 //     the region's interior re-shapes the region, cutting it apart.
 //
-// Every move is validated against the global exploitable mass and reverted
-// if it does not strictly help, so the stage monotonically converges.
-//
-// A rejected attempt reverts every probe, so the labeling and every cell's
-// donor facts stay exact until the next accepted move: both are built once
-// per labeling (the facts lazily per row), and a probe relabels only the
-// components it can change.
+// A move is kept only if it strictly lowers the quadratic potential Φ of
+// the exploitable components, so the stage monotonically converges. A
+// candidate move is scored from the labeling without being made, so the
+// labeling, every cell's donor facts and the donor index stay exact until
+// the next kept move: all three are built once per labeling, and scoring
+// relabels only the target's component minus the cut.
 
 // fullRun is one free run with its component id over the whole layout.
 type fullRun struct {
@@ -45,11 +44,10 @@ type compBuf struct {
 }
 
 // diceRowCache memoizes per-row occupancy scans (free runs and cell
-// lists) across dicing attempts. A dice probe moves one donor, touching at
-// most two rows; every other row's scan stays valid, and the free runs of
-// the two it touches are patched in place (vacate, occupy), so scoring a
-// probe or reverting it re-scans no row. Only the cell lists of the
-// touched rows are dropped.
+// lists) across dicing attempts. A kept dicing move touches at most two
+// rows; every other row's scan stays valid, and the free runs of the two
+// it touches are patched in place (vacate, occupy), so the next relabel
+// re-scans no row. Only the cell lists of the touched rows are dropped.
 type diceRowCache struct {
 	runs       [][]layout.SiteRun
 	cells      [][]*netlist.Instance
@@ -183,7 +181,7 @@ func (c *compBuf) build(l *layout.Layout, rc *diceRowCache) {
 
 // label unions every pair of overlapping runs in adjacent rows and fills
 // the comp ids and per-root weights. The runs must be in row-major order;
-// rows may be missing (a probe relabels only the rows it touches).
+// rows may be missing (a component minus a cut covers only its own rows).
 func (c *compBuf) label() {
 	n := len(c.runs)
 	c.parent = sized(c.parent, n)
@@ -254,8 +252,8 @@ func (c *compBuf) rowRuns(r int) []fullRun {
 
 // diceScratch is the reusable state of the dicing stage. Everything below
 // cache is per labeling: the labeling a itself, the target runs given up
-// on, a's runs grouped by component, and the donor facts of the rows
-// scanned so far. The rest is probe scratch.
+// on, a's runs grouped by component, the donor facts and the donor index.
+// The cut fields hold the parts of one target component minus one cut.
 type diceScratch struct {
 	a     compBuf
 	cache diceRowCache
@@ -271,14 +269,49 @@ type diceScratch struct {
 	donorRows  [][]diceDonor
 	donorValid []bool
 	nbComps    []int
-	cands      []diceCand
 
-	// mark[c] == stamp flags component c of a as touched by this probe.
-	mark     []uint32
-	stamp    uint32
-	affected []int
-	affRuns  []int
-	local    compBuf // the touched runs, relabeled after the probe
+	// The donor index, for threshold indexThresh while indexed: the
+	// eligible targets in pickTarget order, targets[:nextTarget] all given
+	// up, built on the labeling's first attempt; and, built per row with
+	// the row's donor facts once rowIndexed[r], the row's safe donors,
+	// safe[safeRange[r][0]:safeRange[r][1]], and for each exploitable
+	// component c a chain of the donors bordering it: splitDonor[k] for k
+	// from splitHead[c] along splitNext until -1.
+	indexed     bool
+	indexThresh int
+	targets     []diceTarget
+	nextTarget  int
+	rowIndexed  []bool
+	safeRange   [][2]int
+	safe        []*diceDonor
+	splitHead   []int
+	splitNext   []int
+	splitDonor  []*diceDonor
+	cands       []diceCand
+
+	// The target component T minus its target run, labeled once per
+	// attempt (cutTarget): cut holds T's other runs, cutOf[i] is run i's
+	// index in cut.runs, cutAdj those of the target run's neighbours in the
+	// rows above and below, and cutBase is Φ with T's term replaced by the
+	// terms of cut's components. A cut of the target run (cutAt) leaves a
+	// left and a right remnant, which join the cut components their
+	// neighbours belong to: part ids cutL and cutR (n and n+1 for
+	// n = len(cut.runs), cutR = cutL when the two join, -1 when empty),
+	// weighing partW[0] and partW[1], cutJoin[root] the sides (bit 0 left,
+	// bit 1 right) cut component root joins, and cutPhi Φ with T's term
+	// replaced by its parts'. mark[p] == stamp flags part p as joined to
+	// the donor's vacancy by the current score.
+	cut     compBuf
+	cutOf   []int
+	cutAdj  []int
+	cutBase int64
+	cutJoin []uint8
+	cutL    int
+	cutR    int
+	partW   [2]int
+	cutPhi  int64
+	mark    []uint32
+	stamp   uint32
 }
 
 // diceDonor is one movable cell's donor facts under the current labeling:
@@ -290,6 +323,24 @@ type diceDonor struct {
 	row, site int
 	joint     int
 	nb0, nb1  int
+}
+
+// diceTarget is one run pickTarget may choose: its component's weight,
+// its length and its run id.
+type diceTarget struct {
+	weight, length, run int
+}
+
+// cmp orders targets as pickTarget chooses them: heaviest component
+// first, then longest run, then lowest run id.
+func (a diceTarget) cmp(b diceTarget) int {
+	switch {
+	case a.weight != b.weight:
+		return b.weight - a.weight
+	case a.length != b.length:
+		return b.length - a.length
+	}
+	return a.run - b.run
 }
 
 // diceCand is one scored donor candidate: tier 0 = safe (vacancy stays
@@ -318,12 +369,21 @@ func (a diceCand) before(b diceCand) bool {
 // the dicing stage's progress measure.
 func exploitablePotential(weights []int, threshER int) (mass int, phi int64) {
 	for _, w := range weights {
+		phi += sqExploitable(w, threshER)
 		if w >= threshER {
 			mass += w
-			phi += int64(w) * int64(w)
 		}
 	}
 	return mass, phi
+}
+
+// sqExploitable is one component's term of Φ: w² when the component is
+// exploitable, 0 otherwise.
+func sqExploitable(w, threshER int) int64 {
+	if w < threshER {
+		return 0
+	}
+	return int64(w) * int64(w)
 }
 
 // diceResidual splits residual exploitable regions by relocating donor
@@ -334,7 +394,7 @@ func (e *shiftEngine) diceResidual(l *layout.Layout, threshER, maxMoves int) int
 	moves := 0
 	// The row cache starts cold: the row passes just moved cells anywhere.
 	d.cache.reset(l.NumRows)
-	// Attempts (including rejected probes) are bounded separately from
+	// Attempts (including rejected ones) are bounded separately from
 	// accepted moves so pathological landscapes cannot stall the flow.
 	var mass int
 	var phi int64
@@ -364,39 +424,59 @@ func (e *shiftEngine) diceResidual(l *layout.Layout, threshER, maxMoves int) int
 	return moves
 }
 
+// diceCandidates is how many donors an attempt considers per target.
+const diceCandidates = 4
+
 // attempt makes one dicing attempt on the labeling d.a, whose potential is
-// phi: it picks the target run and probes up to four donors into it,
-// keeping the first move that lowers Φ and rolling the others back through
-// the journal, so a rejected probe leaves no journal record. It returns
-// the target's run id (-1 when none is left) and whether a move was kept.
+// phi: it picks the target run and tries up to four donors into it,
+// keeping the first whose move lowers Φ. A candidate's Φ after the move is
+// computed from the labeling (score), not by making the move, so only the
+// kept move touches the layout and its journal. It returns the target's
+// run id (-1 when none is left) and whether a move was kept.
 func (d *diceScratch) attempt(l *layout.Layout, threshER int, phi int64) (ti int, accepted bool) {
-	ti = pickTarget(&d.a, threshER, d.skipped)
+	d.index(l, threshER)
+	ti = d.pickTarget()
 	if ti < 0 {
 		return ti, false
 	}
-	// A nested journal level: an enclosing journal (CellShift's, an
-	// arena's) keeps the kept move's record.
-	l.BeginJournal()
-	defer l.EndJournal()
 	target := &d.a.runs[ti]
-	for _, cd := range d.donorCandidates(l, threshER, target, 4) {
+	cands := d.donorCandidates(l, threshER, target)
+	var scores [diceCandidates]int64
+	var scored [diceCandidates]bool
+	labeled := false
+	for k, cd := range cands {
 		dn := cd.dn
 		w := dn.in.Master.WidthSites
 		at := splitPosition(target, w, threshER)
 		if at < 0 {
 			break
 		}
-		mark := l.JournalMark()
+		// A safe donor always lowers Φ: its vacancy stays sub-threshold
+		// and cannot reach the target, whose component loses w ≥ 1 sites
+		// to the cut, so the parts' Σ p² ≤ (W−w)² < W².
+		if cd.tier != 0 {
+			if !scored[k] {
+				// One labeling of the target's component serves the
+				// attempt, one cut every candidate of the same width.
+				if !labeled {
+					d.cutTarget(ti, threshER, phi)
+					labeled = true
+				}
+				d.cutAt(ti, at, w, threshER)
+				for j := k; j < len(cands); j++ {
+					if cands[j].dn.in.Master.WidthSites == w {
+						scores[j], scored[j] = d.score(ti, at, cands[j].dn, threshER), true
+					}
+				}
+			}
+			if scores[k] >= phi {
+				continue
+			}
+		}
 		if err := d.move(l, dn.in, dn.row, dn.site, target.row, at); err != nil {
 			continue
 		}
-		if d.probePhi(l, threshER, phi, target, dn) < phi {
-			return ti, true
-		}
-		// No improvement: revert the layout and the row cache.
-		l.RollbackJournal(mark)
-		d.cache.vacate(target.row, at, w)
-		d.cache.occupy(dn.row, dn.site, w)
+		return ti, true
 	}
 	return ti, false
 }
@@ -441,14 +521,13 @@ func (d *diceScratch) relabel(l *layout.Layout) {
 	copy(d.compStart[1:], d.compStart[:n])
 	d.compStart[0] = 0
 
-	if cap(d.mark) < n {
-		d.mark = make([]uint32, n)
-	}
-	d.mark = d.mark[:n]
-	for c := range d.mark {
-		d.mark[c] = 0
-	}
+	// A component minus its target run has fewer than n runs, plus the
+	// two remnants' part ids.
+	d.mark = slices.Grow(d.mark[:0], n+2)[:n+2]
+	clear(d.mark)
 	d.stamp = 0
+	d.cutOf = sized(d.cutOf, n)
+	d.cutJoin = slices.Grow(d.cutJoin[:0], n)[:n]
 
 	if cap(d.donorRows) < l.NumRows {
 		d.donorRows = make([][]diceDonor, l.NumRows)
@@ -456,12 +535,14 @@ func (d *diceScratch) relabel(l *layout.Layout) {
 	d.donorRows = d.donorRows[:l.NumRows]
 	d.donorValid = sizedFalse(d.donorValid, l.NumRows)
 	d.nbComps = d.nbComps[:0]
+	d.indexed = false
 }
 
-// sizedFalse returns s resized to n with every entry false.
+// sizedFalse returns s resized to n with every entry false, growing as
+// sized does.
 func sizedFalse(s []bool, n int) []bool {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]bool, n, max(n, 2*cap(s)))
 	}
 	s = s[:n]
 	for i := range s {
@@ -470,22 +551,74 @@ func sizedFalse(s []bool, n int) []bool {
 	return s
 }
 
-// pickTarget returns the index of the longest run of the heaviest
-// exploitable component that has not been given up on, or -1.
-func pickTarget(c *compBuf, threshER int, skipped []bool) int {
-	best := -1
-	bestW := 0
-	for i := range c.runs {
-		r := &c.runs[i]
-		w := c.weights[r.comp]
-		if w < threshER || r.length < 3 || skipped[i] {
-			continue
-		}
-		if best < 0 || w > bestW || (w == bestW && r.length > c.runs[best].length) {
-			best, bestW = i, w
+// index readies the labeling's donor index for threshER: it orders the
+// eligible targets and resets the per-row index, unless both are ready.
+func (d *diceScratch) index(l *layout.Layout, threshER int) {
+	if d.indexed && d.indexThresh == threshER {
+		return
+	}
+	d.indexed, d.indexThresh = true, threshER
+	d.targets = d.targets[:0]
+	for i, r := range d.a.runs {
+		if w := d.a.weights[r.comp]; w >= threshER && r.length >= 3 {
+			d.targets = append(d.targets, diceTarget{weight: w, length: r.length, run: i})
 		}
 	}
-	return best
+	slices.SortFunc(d.targets, diceTarget.cmp)
+	d.nextTarget = 0
+	d.rowIndexed = sizedFalse(d.rowIndexed, l.NumRows)
+	if cap(d.safeRange) < l.NumRows {
+		d.safeRange = make([][2]int, l.NumRows)
+	}
+	d.safeRange = d.safeRange[:l.NumRows]
+	d.safe = d.safe[:0]
+	d.splitHead = sized(d.splitHead, len(d.a.runs))
+	for c := range d.splitHead {
+		d.splitHead[c] = -1
+	}
+	d.splitNext = d.splitNext[:0]
+	d.splitDonor = d.splitDonor[:0]
+}
+
+// indexRow indexes row r's donors on first use: the safe donors, and each
+// donor bordering an exploitable component on that component's chain.
+// Targets belong to exploitable components only, and a donor bordering
+// one is never safe: its joint weight includes the component's.
+func (d *diceScratch) indexRow(l *layout.Layout, r int) {
+	if d.rowIndexed[r] {
+		return
+	}
+	d.rowIndexed[r] = true
+	d.safeRange[r][0] = len(d.safe)
+	donors := d.rowDonors(l, r)
+	for i := range donors {
+		dn := &donors[i]
+		if dn.joint < d.indexThresh {
+			d.safe = append(d.safe, dn)
+			continue
+		}
+		for _, c := range d.nbComps[dn.nb0:dn.nb1] {
+			if d.a.weights[c] >= d.indexThresh {
+				d.splitNext = append(d.splitNext, d.splitHead[c])
+				d.splitDonor = append(d.splitDonor, dn)
+				d.splitHead[c] = len(d.splitDonor) - 1
+			}
+		}
+	}
+	d.safeRange[r][1] = len(d.safe)
+}
+
+// pickTarget returns the index of the longest run of the heaviest
+// exploitable component that has not been given up on, or -1. Targets are
+// given up only until the next relabel, so the index's cursor only moves
+// forward.
+func (d *diceScratch) pickTarget() int {
+	for ; d.nextTarget < len(d.targets); d.nextTarget++ {
+		if i := d.targets[d.nextTarget].run; !d.skipped[i] {
+			return i
+		}
+	}
+	return -1
 }
 
 // splitPosition places a donor of the given width inside the run so the
@@ -507,34 +640,48 @@ func splitPosition(target *fullRun, width, threshER int) int {
 	return at
 }
 
-// donorCandidates collects up to n donor cells: safe donors (vacating them
-// creates only sub-threshold gaps) and split donors (cells bordering the
-// target component), nearest to the target first. The donor facts come
-// from the per-labeling cache, so an attempt only filters by width, tests
-// the target component and ranks; a bounded best-n insertion replaces the
+// donorRowWindow bounds the donor search to rows around the target:
+// distant donors would pay too much wirelength anyway.
+const donorRowWindow = 14
+
+// donorCandidates collects up to four donor cells: safe donors (vacating
+// them creates only sub-threshold gaps) and split donors (cells bordering
+// the target component), nearest to the target first, and last-resort
+// donors when those are fewer than four. The safe and split donors come
+// from the index, so an attempt ranks only them; the window scan
+// runs only for the last resort. A bounded best-n insertion replaces the
 // full sort (identical result — the (tier, dist, ID) order is strict and
 // total).
-func (d *diceScratch) donorCandidates(l *layout.Layout, threshER int, target *fullRun, n int) []diceCand {
+func (d *diceScratch) donorCandidates(l *layout.Layout, threshER int, target *fullRun) []diceCand {
+	lo, hi := max(target.row-donorRowWindow, 0), min(target.row+donorRowWindow, l.NumRows-1)
 	best := d.cands[:0]
-	consider := func(cd diceCand) {
-		if len(best) == n {
-			if !cd.before(best[n-1]) {
-				return
+	found := 0
+	for r := lo; r <= hi; r++ {
+		d.indexRow(l, r)
+		for _, dn := range d.safe[d.safeRange[r][0]:d.safeRange[r][1]] {
+			if dn.in.Master.WidthSites < target.length {
+				best = considerCand(best, diceCand{dn, donorDist(dn, target), 0})
+				found++
 			}
-			best = best[:n-1]
 		}
-		i := len(best)
-		best = append(best, cd)
-		for i > 0 && cd.before(best[i-1]) {
-			best[i] = best[i-1]
-			i--
-		}
-		best[i] = cd
 	}
-	// Donor scan is restricted to a row window around the target: distant
-	// donors would pay too much wirelength anyway. A placed cell lives in
-	// exactly one row, so the row sweep visits each candidate once.
-	const donorRowWindow = 14
+	for k := d.splitHead[target.comp]; k >= 0; k = d.splitNext[k] {
+		if dn := d.splitDonor[k]; dn.row >= lo && dn.row <= hi && dn.in.Master.WidthSites < target.length {
+			best = considerCand(best, diceCand{dn, donorDist(dn, target), 1})
+			found++
+		}
+	}
+	if found < diceCandidates {
+		best = d.scanDonors(l, threshER, target, best[:0])
+	}
+	d.cands = best // keep capacity for the next attempt
+	return best
+}
+
+// scanDonors ranks every donor of the row window around the target into
+// best, the last resort included. A placed cell lives in exactly one row,
+// so the row sweep visits each candidate once.
+func (d *diceScratch) scanDonors(l *layout.Layout, threshER int, target *fullRun, best []diceCand) []diceCand {
 	for r := target.row - donorRowWindow; r <= target.row+donorRowWindow; r++ {
 		if r < 0 || r >= l.NumRows {
 			continue
@@ -552,11 +699,33 @@ func (d *diceScratch) donorCandidates(l *layout.Layout, threshER int, target *fu
 			case slices.Contains(d.nbComps[dn.nb0:dn.nb1], target.comp):
 				tier = 1 // split: vacancy rejoins the target region
 			}
-			dist := abs(dn.row-target.row)*8 + abs(dn.site-target.start)
-			consider(diceCand{dn, dist, tier})
+			best = considerCand(best, diceCand{dn, donorDist(dn, target), tier})
 		}
 	}
-	d.cands = best // keep capacity for the next attempt
+	return best
+}
+
+// donorDist is the ranking distance of a donor from the target run.
+func donorDist(dn *diceDonor, target *fullRun) int {
+	return abs(dn.row-target.row)*8 + abs(dn.site-target.start)
+}
+
+// considerCand inserts cd into best, kept sorted and at most
+// diceCandidates long.
+func considerCand(best []diceCand, cd diceCand) []diceCand {
+	if len(best) == diceCandidates {
+		if !cd.before(best[diceCandidates-1]) {
+			return best
+		}
+		best = best[:diceCandidates-1]
+	}
+	i := len(best)
+	best = append(best, cd)
+	for i > 0 && cd.before(best[i-1]) {
+		best[i] = best[i-1]
+		i--
+	}
+	best[i] = cd
 	return best
 }
 
@@ -622,86 +791,220 @@ func runAt(runs []fullRun, k *int, site int) int {
 	return -1
 }
 
-// probePhi returns Φ of the layout after a probe moved donor dn into the
-// target run, given Φ of the labeling a (in which the probe is not yet
-// made). Only the target's component and the donor's neighbour
-// components can change: the vacancy joins exactly the latter, and the
-// donor lands inside the former. So Φ' = Φ − Σ old w² + Σ new w² over
-// just those components, whose runs are relabeled from a (rows the probe
-// did not touch) and the row cache (the two rows it did) — exact in
-// int64.
-func (d *diceScratch) probePhi(l *layout.Layout, threshER int, phi int64, target *fullRun, dn *diceDonor) int64 {
-	d.stamp++
-	aff := append(d.affected[:0], target.comp)
-	d.mark[target.comp] = d.stamp
-	for _, c := range d.nbComps[dn.nb0:dn.nb1] {
-		if d.mark[c] != d.stamp {
-			d.mark[c] = d.stamp
-			aff = append(aff, c)
+// cutTarget labels target run ti's component T without the target run,
+// given phi, Φ of the labeling. Each run of T is in one component of the
+// rest or in the target run, so every component of the rest borders the
+// target run; the target run's neighbours in the rows above and below are
+// the runs through which a cut's remnants may join them.
+func (d *diceScratch) cutTarget(ti, threshER int, phi int64) {
+	t := d.a.runs[ti]
+	c := &d.cut
+	c.runs = c.runs[:0]
+	for _, i := range d.compRuns[d.compStart[t.comp]:d.compStart[t.comp+1]] {
+		if i != ti {
+			d.cutOf[i] = len(c.runs)
+			c.runs = append(c.runs, d.a.runs[i])
 		}
 	}
-	lo, hi := dn.row, target.row
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	ids := d.affRuns[:0]
-	for _, c := range aff {
-		if w := d.a.weights[c]; w >= threshER {
-			phi -= int64(w) * int64(w)
+	c.label()
+	phi -= sqExploitable(d.a.weights[t.comp], threshER)
+	for i, r := range c.runs {
+		if r.comp == i {
+			phi += sqExploitable(c.weights[i], threshER)
 		}
-		for _, i := range d.compRuns[d.compStart[c]:d.compStart[c+1]] {
-			if r := d.a.runs[i].row; r != lo && r != hi {
-				ids = append(ids, i)
-			}
-		}
+		d.cutJoin[i] = 0
 	}
-	slices.Sort(ids)
-	d.affected, d.affRuns = aff, ids
-
-	// Merge the touched rows' new runs into the row-major run list.
-	loc := &d.local
-	loc.runs = loc.runs[:0]
-	changed := [2]int{lo, hi}
-	nChanged := 2
-	if lo == hi {
-		nChanged = 1
-	}
-	k := 0
-	for _, i := range ids {
-		for ; k < nChanged && changed[k] < d.a.runs[i].row; k++ {
-			d.appendTouchedRuns(l, changed[k])
-		}
-		loc.runs = append(loc.runs, d.a.runs[i])
-	}
-	for ; k < nChanged; k++ {
-		d.appendTouchedRuns(l, changed[k])
-	}
-	loc.label()
-	for i, run := range loc.runs {
-		if run.comp == i {
-			if w := loc.weights[i]; w >= threshER {
-				phi += int64(w) * int64(w)
-			}
+	d.cutBase = phi
+	d.cutAdj = d.cutAdj[:0]
+	for _, r := range [2]int{t.row - 1, t.row + 1} {
+		runs := d.a.rowRuns(r)
+		for k := firstEndingAfter(runs, t.start); k < len(runs) && runs[k].start < t.start+t.length; k++ {
+			d.cutAdj = append(d.cutAdj, d.cutOf[d.a.rowStart[r]+k])
 		}
 	}
-	return phi
 }
 
-// appendTouchedRuns appends to d.local the runs of a row the probe changed
-// that belong to the touched components: every run except those identical
-// to a run of an untouched component in the labeling (the probe leaves
-// those as they were; any other run holds changed sites or sites of a
-// touched component).
-func (d *diceScratch) appendTouchedRuns(l *layout.Layout, row int) {
-	old := d.a.rowRuns(row)
-	j := 0
-	for _, nr := range d.cache.rowRuns(l, row) {
-		for j < len(old) && old[j].start < nr.Start {
-			j++
+// cutAt sets the parts of the component cutTarget labeled once a donor of
+// width w takes the sites [at, at+w) of target run ti: each remnant joins
+// the components its neighbours belong to, both remnants join into one
+// part when some component borders both, and every other component stays
+// a part. It sets cutPhi, Φ with T's term replaced by its parts'. No
+// other component changes until the donor's vacancy is accounted for,
+// which score does per donor.
+func (d *diceScratch) cutAt(ti, at, w, threshER int) {
+	t := d.a.runs[ti]
+	n := len(d.cut.runs)
+	lo, hi := at, at+w // the cut
+	end := t.start + t.length
+	d.cutL, d.cutR = -1, -1
+	d.partW = [2]int{}
+	if lo > t.start {
+		d.cutL, d.partW[0] = n, lo-t.start
+	}
+	if hi < end {
+		d.cutR, d.partW[1] = n+1, end-hi
+	}
+	for _, slot := range d.cutAdj {
+		d.cutJoin[d.cut.runs[slot].comp] = 0
+	}
+	for _, slot := range d.cutAdj {
+		r := &d.cut.runs[slot]
+		if d.cutL >= 0 && r.start < lo && r.start+r.length > t.start {
+			d.cutJoin[r.comp] |= 1
 		}
-		if j < len(old) && old[j].start == nr.Start && old[j].length == nr.Len && d.mark[old[j].comp] != d.stamp {
+		if d.cutR >= 0 && r.start < end && r.start+r.length > hi {
+			d.cutJoin[r.comp] |= 2
+		}
+	}
+	phi := d.cutBase
+	joined := false
+	for _, slot := range d.cutAdj {
+		root := d.cut.runs[slot].comp
+		side := d.cutJoin[root]
+		if side&3 == 0 || side&4 != 0 {
 			continue
 		}
-		d.local.runs = append(d.local.runs, fullRun{row: row, start: nr.Start, length: nr.Len})
+		d.cutJoin[root] |= 4 // counted
+		phi -= sqExploitable(d.cut.weights[root], threshER)
+		if side&1 != 0 {
+			d.partW[0] += d.cut.weights[root]
+		} else {
+			d.partW[1] += d.cut.weights[root]
+		}
+		joined = joined || side&3 == 3
 	}
+	if joined {
+		d.cutR = d.cutL
+		d.partW = [2]int{d.partW[0] + d.partW[1], 0}
+	}
+	d.cutPhi = phi + sqExploitable(d.partW[0], threshER) + sqExploitable(d.partW[1], threshER)
+}
+
+// partOf returns the part id of the cut component holding cut run slot.
+func (d *diceScratch) partOf(slot int) int {
+	root := d.cut.runs[slot].comp
+	switch d.cutJoin[root] & 3 {
+	case 0:
+		return root
+	case 2:
+		return d.cutR
+	}
+	return d.cutL
+}
+
+// score returns Φ after donor dn moves into the cut cutAt last set, the
+// sites from at of target run ti, exact in int64 and without making the
+// move. The move changes only the target's component T, which becomes its
+// parts, and the donor's vacancy, which joins its neighbour components
+// into one: every neighbour component but T whole (none of their runs
+// changes), and those parts of T that border the vacancy once the cut is
+// occupied. The latter are found among the vacancy's neighbour runs in its
+// own row and the rows above and below, where the target run stands for
+// its remnants.
+func (d *diceScratch) score(ti, at int, dn *diceDonor, threshER int) int64 {
+	t := &d.a.runs[ti]
+	phi := d.cutPhi
+	joint := dn.in.Master.WidthSites
+	bordersT := false
+	for _, c := range d.nbComps[dn.nb0:dn.nb1] {
+		if c == t.comp {
+			bordersT = true
+			continue
+		}
+		phi -= sqExploitable(d.a.weights[c], threshER)
+		joint += d.a.weights[c]
+	}
+	if bordersT {
+		d.stamp++
+		s, e := dn.site, dn.site+dn.in.Master.WidthSites // the vacancy
+		cutEnd := at + dn.in.Master.WidthSites
+		// The vacancy's own row: the runs ending at s and starting at e.
+		runs, base := d.a.rowRuns(dn.row), d.a.rowStart[dn.row]
+		k := firstEndingAfter(runs, s)
+		if k > 0 && runs[k-1].start+runs[k-1].length == s && runs[k-1].comp == t.comp {
+			if g := base + k - 1; g != ti {
+				d.joinPart(d.partOf(d.cutOf[g]), threshER, &phi, &joint)
+			} else {
+				d.joinPart(d.cutR, threshER, &phi, &joint)
+			}
+		}
+		if k < len(runs) && runs[k].start == e && runs[k].comp == t.comp {
+			if g := base + k; g != ti {
+				d.joinPart(d.partOf(d.cutOf[g]), threshER, &phi, &joint)
+			} else {
+				d.joinPart(d.cutL, threshER, &phi, &joint)
+			}
+		}
+		// The rows below and above: the runs overlapping [s, e), so the
+		// target run, if among them, ends past s.
+		for _, r := range [2]int{dn.row - 1, dn.row + 1} {
+			runs := d.a.rowRuns(r)
+			if len(runs) == 0 {
+				continue
+			}
+			base := d.a.rowStart[r]
+			for k := firstEndingAfter(runs, s); k < len(runs) && runs[k].start < e; k++ {
+				if runs[k].comp != t.comp {
+					continue
+				}
+				if g := base + k; g != ti {
+					d.joinPart(d.partOf(d.cutOf[g]), threshER, &phi, &joint)
+					continue
+				}
+				if d.cutL >= 0 && at > s {
+					d.joinPart(d.cutL, threshER, &phi, &joint)
+				}
+				if d.cutR >= 0 && cutEnd < e {
+					d.joinPart(d.cutR, threshER, &phi, &joint)
+				}
+			}
+		}
+	}
+	return phi + sqExploitable(joint, threshER)
+}
+
+// joinPart merges part p into the vacancy's component, once per score.
+func (d *diceScratch) joinPart(p, threshER int, phi *int64, joint *int) {
+	if p < 0 || d.mark[p] == d.stamp {
+		return
+	}
+	d.mark[p] = d.stamp
+	w := d.partW[0]
+	switch {
+	case p < len(d.cut.runs):
+		w = d.cut.weights[p]
+	case p == len(d.cut.runs)+1:
+		w = d.partW[1]
+	}
+	*phi -= sqExploitable(w, threshER)
+	*joint += w
+}
+
+// firstEndingAfter returns the index of the first of runs (ascending) that
+// ends past site, or len(runs).
+func firstEndingAfter(runs []fullRun, site int) int {
+	lo, hi := 0, len(runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if runs[m].start+runs[m].length <= site {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// forget drops every reference to the instances of the layout the dicing
+// stage last ran on, so a pooled engine keeps no netlist alive.
+func (d *diceScratch) forget() {
+	for _, cells := range d.cache.cells[:cap(d.cache.cells)] {
+		clear(cells[:cap(cells)])
+	}
+	for _, donors := range d.donorRows[:cap(d.donorRows)] {
+		clear(donors[:cap(donors)])
+	}
+	clear(d.safe[:cap(d.safe)])
+	clear(d.splitDonor[:cap(d.splitDonor)])
+	clear(d.cands[:cap(d.cands)])
 }

@@ -39,6 +39,7 @@ type journalRec struct {
 func (l *Layout) BeginJournal() {
 	if l.journalDepth == 0 {
 		l.journal = l.journal[:0]
+		l.journalWrites = 0
 	}
 	l.journalDepth++
 }
@@ -65,6 +66,11 @@ func (l *Layout) JournalMark() int { return len(l.journal) }
 
 // JournalLen returns the number of recorded mutations (= JournalMark).
 func (l *Layout) JournalLen() int { return len(l.journal) }
+
+// JournalWrites returns the number of records written since the outermost
+// BeginJournal, including those a RollbackJournal has since removed: the
+// placement work done under the journal, kept or not.
+func (l *Layout) JournalWrites() int { return l.journalWrites }
 
 // RollbackJournal undoes every mutation recorded after mark, in reverse
 // order, restoring the occupancy grid and placement table exactly as they
@@ -152,6 +158,7 @@ func (l *Layout) ApplyMoves(moves []InstMove) error {
 func (l *Layout) record(in *netlist.Instance, old, new Placement) {
 	if l.journalDepth > 0 {
 		l.journal = append(l.journal, journalRec{inst: in, old: old, new: new})
+		l.journalWrites++
 	}
 }
 

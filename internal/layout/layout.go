@@ -60,6 +60,9 @@ type Layout struct {
 	// scope journal can nest the operator's per-pass journaling.
 	journal      []journalRec
 	journalDepth int
+	// journalWrites counts the records written since the outermost
+	// BeginJournal, rolled-back ones included.
+	journalWrites int
 }
 
 // New creates an empty layout of the given core size for the netlist.

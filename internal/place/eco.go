@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"gdsiiguard/internal/fault"
+	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
 )
@@ -42,6 +43,10 @@ type densityTracker struct {
 	rowWeight   int
 	lattice     uint64
 	latticeStep int // 64 mod rowWeight
+	// pts, xs and ys are the search's terminal-position buffers
+	// (desiredSlot, cellHPWL).
+	pts    []geom.Point
+	xs, ys []int64
 }
 
 func newDensityTracker(l *layout.Layout) *densityTracker {
@@ -397,7 +402,7 @@ func ECO(l *layout.Layout, seed int64) ECOResult {
 			found := false
 			for _, in := range cells {
 				p := l.PlacementOf(in)
-				before := cellHPWL(l, in)
+				before := cellHPWL(l, dens, in)
 				// Evacuation is wirelength-driven: bounded search radius so
 				// cells never teleport across the die.
 				row, site, ok := nearestFit(l, dens, in, p.Row, p.Site, 120)
@@ -407,7 +412,7 @@ func ECO(l *layout.Layout, seed int64) ECOResult {
 				if err := l.Place(in, row, site); err != nil {
 					continue
 				}
-				delta := cellHPWL(l, in) - before
+				delta := cellHPWL(l, dens, in) - before
 				_ = l.Place(in, p.Row, p.Site) // revert probe
 				if delta < best.delta {
 					best = cand{in: in, row: row, site: site, delta: delta}

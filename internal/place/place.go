@@ -16,8 +16,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
+	"gdsiiguard/internal/geom"
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
 )
@@ -133,12 +134,12 @@ func movableCells(l *layout.Layout) []*netlist.Instance {
 // tryImproveCell moves in toward the median of its nets if that lowers its
 // connected HPWL; returns true when moved.
 func tryImproveCell(l *layout.Layout, dens *densityTracker, in *netlist.Instance, maxRadius int) bool {
-	tr, ts, ok := desiredSlot(l, in)
+	tr, ts, ok := desiredSlot(l, dens, in)
 	if !ok {
 		return false
 	}
 	p := l.PlacementOf(in)
-	before := cellHPWL(l, in)
+	before := cellHPWL(l, dens, in)
 	row, site, ok := nearestFit(l, dens, in, tr, ts, maxRadius)
 	if !ok || (row == p.Row && site == p.Site) {
 		return false
@@ -147,7 +148,7 @@ func tryImproveCell(l *layout.Layout, dens *densityTracker, in *netlist.Instance
 	if err := l.Place(in, row, site); err != nil {
 		return false
 	}
-	after := cellHPWL(l, in)
+	after := cellHPWL(l, dens, in)
 	if after >= before {
 		_ = l.Place(in, old.Row, old.Site) // revert
 		return false
@@ -157,23 +158,29 @@ func tryImproveCell(l *layout.Layout, dens *densityTracker, in *netlist.Instance
 }
 
 // desiredSlot returns the median row/site of the cell's connected terminal
-// positions.
-func desiredSlot(l *layout.Layout, in *netlist.Instance) (row, site int, ok bool) {
-	var xs, ys []int64
+// positions. The positions and their coordinates go to dens's buffers.
+func desiredSlot(l *layout.Layout, dens *densityTracker, in *netlist.Instance) (row, site int, ok bool) {
+	pts := dens.pts[:0]
 	for _, c := range in.Conns {
 		if c.Net == nil || c.Net.IsClock {
 			continue
 		}
-		for _, pt := range l.NetTermPoints(c.Net) {
-			xs = append(xs, pt.X)
-			ys = append(ys, pt.Y)
-		}
+		pts = l.AppendNetTermPoints(pts, c.Net)
 	}
-	if len(xs) == 0 {
+	dens.pts = pts
+	if len(pts) == 0 {
 		return 0, 0, false
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	sort.Slice(ys, func(i, j int) bool { return ys[i] < ys[j] })
+	xs, ys := dens.xs[:0], dens.ys[:0]
+	for _, pt := range pts {
+		xs = append(xs, pt.X)
+		ys = append(ys, pt.Y)
+	}
+	dens.xs, dens.ys = xs, ys
+	// Equal coordinates are equal integers, so the median does not depend
+	// on the sort's stability.
+	slices.Sort(xs)
+	slices.Sort(ys)
 	mx, my := xs[len(xs)/2], ys[len(ys)/2]
 	site = int((mx - l.Origin.X) / l.Lib().Site.Width)
 	row = int((my - l.Origin.Y) / l.Lib().Site.Height)
@@ -192,12 +199,14 @@ func desiredSlot(l *layout.Layout, in *netlist.Instance) (row, site int, ok bool
 	return row, site, true
 }
 
-// cellHPWL sums the HPWL of all signal nets touching the cell.
-func cellHPWL(l *layout.Layout, in *netlist.Instance) int64 {
+// cellHPWL sums the HPWL of all signal nets touching the cell, reading
+// each net's terminal positions into dens's buffer.
+func cellHPWL(l *layout.Layout, dens *densityTracker, in *netlist.Instance) int64 {
 	var total int64
 	for _, c := range in.Conns {
 		if c.Net != nil && !c.Net.IsClock {
-			total += l.NetHPWL(c.Net)
+			dens.pts = l.AppendNetTermPoints(dens.pts[:0], c.Net)
+			total += geom.HPWL(dens.pts)
 		}
 	}
 	return total
