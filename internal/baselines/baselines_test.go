@@ -114,13 +114,15 @@ func TestBISAFillIsTamperEvident(t *testing.T) {
 	}
 }
 
+// Two long chains give a die on which Ba's 25 µm fill radius around the
+// two key registers leaves free regions open.
 func TestBaFillsOnlyNearAssets(t *testing.T) {
-	base := buildBase(t, 8, 40, 0.5, 5)
+	base := buildBase(t, 2, 1000, 0.5, 5)
 	bisa, err := RunBISA(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ba, err := RunBa(base, BaOptions{RadiusUM: 5})
+	ba, err := RunBa(base)
 	if err != nil {
 		t.Fatalf("RunBa: %v", err)
 	}
@@ -164,7 +166,7 @@ func TestBaFillsOnlyNearAssets(t *testing.T) {
 
 func TestICASSqueezesFreeSpace(t *testing.T) {
 	base := buildBase(t, 5, 20, 0.5, 5)
-	res, err := RunICAS(base, ICASOptions{Seed: 1})
+	res, err := RunICAS(base, 1)
 	if err != nil {
 		t.Fatalf("RunICAS: %v", err)
 	}
@@ -186,7 +188,7 @@ func TestICASSqueezesFreeSpace(t *testing.T) {
 
 func TestICASWeakerThanBISA(t *testing.T) {
 	base := buildBase(t, 8, 40, 0.5, 5)
-	icas, err := RunICAS(base, ICASOptions{Seed: 1})
+	icas, err := RunICAS(base, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +210,10 @@ func TestBaselinesDontMutateBase(t *testing.T) {
 	if _, err := RunBISA(base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunBa(base, BaOptions{}); err != nil {
+	if _, err := RunBa(base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunICAS(base, ICASOptions{Seed: 2}); err != nil {
+	if _, err := RunICAS(base, 2); err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Layout.Netlist.Insts) != nInsts {

@@ -21,31 +21,24 @@ const (
 	Ba   Name = "Ba"
 )
 
-// ICASOptions configures the ICAS re-implementation.
-type ICASOptions struct {
-	// Utilizations is the sweep of target core densities the undirected
-	// tuner tries (default 0.70–0.85).
-	Utilizations []float64
-	// Seed drives placement randomization.
-	Seed int64
-}
+// icasUtilizations is the sweep of target core densities ICAS's
+// undirected tuner tries.
+var icasUtilizations = [...]float64{0.70, 0.75, 0.80, 0.85}
 
 // RunICAS applies the ICAS-style defense: security-agnostic global
-// re-placement at swept higher densities. The candidate with the fewest
-// remaining free sites that still routes without catastrophic overflow is
-// kept — the tuner never looks at the asset list.
-func RunICAS(base *core.Baseline, opt ICASOptions) (*core.Result, error) {
-	if len(opt.Utilizations) == 0 {
-		opt.Utilizations = []float64{0.70, 0.75, 0.80, 0.85}
-	}
+// re-placement at swept higher densities, with seed driving placement
+// randomization. The candidate with the fewest remaining free sites that
+// still routes without catastrophic overflow is kept — the tuner never
+// looks at the asset list.
+func RunICAS(base *core.Baseline, seed int64) (*core.Result, error) {
 	start := time.Now()
 	var best, fallback *core.Result
-	for _, util := range opt.Utilizations {
+	for _, util := range icasUtilizations {
 		nl := base.Layout.Netlist.Clone()
 		l, err := place.Global(nl, place.GlobalOptions{
 			TargetUtil:   util,
 			RefinePasses: 2,
-			Seed:         opt.Seed,
+			Seed:         seed,
 		})
 		if err != nil {
 			continue // density infeasible for this netlist
@@ -96,25 +89,19 @@ func RunBISA(base *core.Baseline) (*core.Result, error) {
 	return res, nil
 }
 
-// BaOptions configures the Ba et al. re-implementation.
-type BaOptions struct {
-	// RadiusUM is the fill radius around security-critical cells in
-	// microns (default 25µm).
-	RadiusUM float64
-}
+// baRadiusUM is Ba et al.'s fill radius around security-critical cells,
+// in microns.
+const baRadiusUM = 25
 
 // RunBa applies Ba et al.: BISA-style functional filling restricted to the
 // neighborhood of the security-critical cells (the prioritized empty
 // spaces), leaving remote free regions open — cheaper than BISA, with
 // discounted coverage.
-func RunBa(base *core.Baseline, opt BaOptions) (*core.Result, error) {
-	if opt.RadiusUM <= 0 {
-		opt.RadiusUM = 25
-	}
+func RunBa(base *core.Baseline) (*core.Result, error) {
 	start := time.Now()
 	l := base.Layout.Clone()
 	core.Preprocess(l)
-	radius := l.Lib().MicronsToDBU(opt.RadiusUM)
+	radius := l.Lib().MicronsToDBU(baRadiusUM)
 
 	// Free runs within the radius of any asset.
 	var assets []geom.Rect

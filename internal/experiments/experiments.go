@@ -186,7 +186,7 @@ func evalDesign(name string, opt Options, budget *nsga2.EvalBudget) (*DesignResu
 	}
 
 	if err := withSlot(func() error {
-		icas, err := baselines.RunICAS(base, baselines.ICASOptions{Seed: opt.Seed})
+		icas, err := baselines.RunICAS(base, opt.Seed)
 		if err == nil {
 			res.Metrics[RowICAS] = icas.Metrics
 		}
@@ -204,7 +204,7 @@ func evalDesign(name string, opt Options, budget *nsga2.EvalBudget) (*DesignResu
 		return nil, fmt.Errorf("experiments: %s BISA: %w", name, err)
 	}
 	if err := withSlot(func() error {
-		ba, err := baselines.RunBa(base, baselines.BaOptions{})
+		ba, err := baselines.RunBa(base)
 		if err == nil {
 			res.Metrics[RowBa] = ba.Metrics
 		}
@@ -334,7 +334,7 @@ func RunRuntimeComparison(name string, opt Options) (*RuntimeComparison, error) 
 		},
 	}
 	t0 := time.Now()
-	if _, err := baselines.RunICAS(base, baselines.ICASOptions{Seed: opt.Seed}); err != nil {
+	if _, err := baselines.RunICAS(base, opt.Seed); err != nil {
 		return nil, err
 	}
 	out.Measured[RowICAS] = time.Since(t0)
@@ -346,7 +346,7 @@ func RunRuntimeComparison(name string, opt Options) (*RuntimeComparison, error) 
 	out.Measured[RowBISA] = time.Since(t0)
 
 	t0 = time.Now()
-	if _, err := baselines.RunBa(base, baselines.BaOptions{}); err != nil {
+	if _, err := baselines.RunBa(base); err != nil {
 		return nil, err
 	}
 	out.Measured[RowBa] = time.Since(t0)

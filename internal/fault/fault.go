@@ -103,9 +103,6 @@ func Arm(rules map[Point]Rule) {
 // Disarm removes the armed plan; every Hit becomes a no-op again.
 func Disarm() { active.Store(nil) }
 
-// Armed reports whether a plan is currently armed.
-func Armed() bool { return active.Load() != nil }
-
 // Calls returns the number of Hit calls observed at p since Arm (0 when
 // nothing is armed or the point has no rule).
 func Calls(p Point) uint64 {

@@ -131,11 +131,6 @@ func (r Rect) Expand(d int64) Rect {
 	return out
 }
 
-// Translate returns r shifted by p.
-func (r Rect) Translate(p Point) Rect {
-	return Rect{r.Lo.Add(p), r.Hi.Add(p)}
-}
-
 // DistTo returns the Manhattan distance from p to the closest point of r
 // (0 if p is inside r).
 func (r Rect) DistTo(p Point) int64 {

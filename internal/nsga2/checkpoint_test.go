@@ -53,7 +53,7 @@ func fingerprint(log *RunLog, final []Individual) runlogFingerprint {
 // generation count and cache-hit accounting — bit for bit.
 func TestResumeBitIdentical(t *testing.T) {
 	base := buildBase(t, 5, 20, 5)
-	opt := Options{PopSize: 8, Generations: 4, Patience: 0, Seed: 7, Parallelism: 4}
+	opt := Options{PopSize: 8, Generations: 4, Seed: 7, Parallelism: 4}
 
 	var cps []*Checkpoint
 	golden, err := Optimize(base, withCapture(opt, &cps))
@@ -180,7 +180,7 @@ func TestCheckpointRoundTripsFailedEntries(t *testing.T) {
 
 func TestResumeRejectsMismatchedOptions(t *testing.T) {
 	base := buildBase(t, 3, 8, 5)
-	opt := Options{PopSize: 8, Generations: 2, Patience: 0, Seed: 5, Parallelism: 2}
+	opt := Options{PopSize: 8, Generations: 2, Seed: 5, Parallelism: 2}
 	var cps []*Checkpoint
 	if _, err := Optimize(base, withCapture(opt, &cps)); err != nil {
 		t.Fatal(err)

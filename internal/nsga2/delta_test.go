@@ -16,7 +16,7 @@ import (
 // in flight.
 func TestDeltaMatchesPlainRun(t *testing.T) {
 	base := buildBase(t, 5, 20, 5)
-	opt := Options{PopSize: 10, Generations: 5, Patience: 0, Seed: 11, Parallelism: 4}
+	opt := Options{PopSize: 10, Generations: 5, Seed: 11, Parallelism: 4}
 
 	var parCps, seqCps []*Checkpoint
 	par, err := Optimize(base, withCapture(opt, &parCps))

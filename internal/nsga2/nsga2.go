@@ -29,15 +29,9 @@ type Options struct {
 	// Generations is the maximum generation count (default 8).
 	Generations int
 	// Patience stops early after this many generations without a new
-	// non-dominated point (default 3; 0 disables).
+	// non-dominated point. Zero means "unset" and defaults to 3; a
+	// negative value disables early stopping.
 	Patience int
-	// NDRC and BetaPower are the hard constraints of §II-C
-	// (defaults 20 and 1.2).
-	NDRC      int
-	BetaPower float64
-	// CrossoverP and MutationP are per-gene probabilities
-	// (defaults 0.9 population-level crossover, 0.1 per-gene mutation).
-	CrossoverP, MutationP float64
 	// Parallelism bounds concurrent flow evaluations (default NumCPU).
 	Parallelism int
 	// Budget optionally shares one evaluation-concurrency budget across
@@ -48,12 +42,6 @@ type Options struct {
 	Budget *EvalBudget
 	// Seed drives all stochastic choices.
 	Seed int64
-	// MaxFailureRate aborts the run when more than this fraction of all
-	// fresh evaluations have failed, checked once at least PopSize
-	// evaluations were attempted (default 0.5; values ≥ 1 never abort). Failures below the threshold degrade: the individual is
-	// marked infeasible with maximal constraint violation and recorded in
-	// RunLog.Failures, and the exploration continues.
-	MaxFailureRate float64
 	// Checkpoint, when set, is invoked synchronously after every completed
 	// generation (including generation 0, the evaluated initial population)
 	// with a self-contained snapshot of the optimizer state. An error
@@ -80,23 +68,8 @@ func (o Options) withDefaults() Options {
 	if o.Patience == 0 {
 		o.Patience = 3
 	}
-	if o.NDRC <= 0 {
-		o.NDRC = 20
-	}
-	if o.BetaPower <= 0 {
-		o.BetaPower = 1.2
-	}
-	if o.CrossoverP <= 0 {
-		o.CrossoverP = 0.9
-	}
-	if o.MutationP <= 0 {
-		o.MutationP = 0.1
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
-	}
-	if o.MaxFailureRate == 0 {
-		o.MaxFailureRate = 0.5
 	}
 	return o
 }
@@ -176,7 +149,7 @@ func Optimize(base *core.Baseline, opt Options) (*RunLog, error) {
 // recorded in RunLog.Failures and enters selection as an infeasible individual with
 // maximal violation, and the exploration continues. The run errors out
 // only when ctx is cancelled or the failure rate crosses
-// Options.MaxFailureRate (an unevaluable baseline surfaces earlier, from
+// maxFailureRate (an unevaluable baseline surfaces earlier, from
 // core.EvalBaseline, before an optimizer ever starts).
 func OptimizeCtx(ctx context.Context, base *core.Baseline, opt Options) (*RunLog, error) {
 	opt = opt.withDefaults()
@@ -481,8 +454,8 @@ func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, key string, g
 		Params:     p.Clone(),
 		Metrics:    res.Metrics,
 		Generation: gen,
-		Feasible:   core.Feasible(res.Metrics, ev.base, ev.opt.NDRC, ev.opt.BetaPower),
-		Violation:  violation(res.Metrics, ev.base, ev.opt),
+		Feasible:   core.Feasible(res.Metrics, ev.base),
+		Violation:  core.Violation(res.Metrics, ev.base),
 	}
 	ev.mu.Lock()
 	ev.cache[key] = in
@@ -492,11 +465,17 @@ func (ev *evaluator) evalFresh(ctx context.Context, p core.Params, key string, g
 	return nil
 }
 
+// maxFailureRate aborts a run once more than this fraction of its fresh
+// evaluations have failed, checked after at least PopSize attempts.
+// Failures below it degrade: the individual turns infeasible with maximal
+// constraint violation, lands in RunLog.Failures, and the run goes on.
+const maxFailureRate = 0.5
+
 // degrade records a failed evaluation: the chromosome is cached as an
 // infeasible individual with maximal constraint violation (so constrained
 // domination breeds it out) and the failure lands in RunLog.Failures. The
-// run aborts only when the aggregate failure rate crosses
-// Options.MaxFailureRate over at least PopSize attempted evaluations.
+// run aborts only when the aggregate failure rate crosses maxFailureRate
+// over at least PopSize attempted evaluations.
 func (ev *evaluator) degrade(p core.Params, key string, gen int, cause error) error {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
@@ -519,23 +498,11 @@ func (ev *evaluator) degrade(p core.Params, key string, gen int, cause error) er
 	})
 	total := ev.failed + ev.succeeded
 	rate := float64(ev.failed) / float64(total)
-	if ev.opt.MaxFailureRate < 1 && total >= ev.opt.PopSize && rate > ev.opt.MaxFailureRate {
+	if total >= ev.opt.PopSize && rate > maxFailureRate {
 		return fmt.Errorf("nsga2: aborting exploration: %d/%d evaluations failed (rate %.2f > cap %.2f), last: %w",
-			ev.failed, total, rate, ev.opt.MaxFailureRate, cause)
+			ev.failed, total, rate, maxFailureRate, cause)
 	}
 	return nil
-}
-
-// violation aggregates normalized constraint excess.
-func violation(m core.Metrics, base *core.Baseline, opt Options) float64 {
-	v := 0.0
-	if m.DRC > opt.NDRC {
-		v += float64(m.DRC-opt.NDRC) / float64(opt.NDRC)
-	}
-	if cap := opt.BetaPower * base.Metrics.PowerMW; m.PowerMW > cap {
-		v += (m.PowerMW - cap) / cap
-	}
-	return v
 }
 
 // dominates implements constrained domination (Deb): feasible beats
@@ -644,6 +611,10 @@ func better(a, b *Individual) bool {
 	return a.crowding > b.crowding
 }
 
+// crossoverP is the probability that a parent pair crosses over; mutationP
+// is each gene's probability of mutating.
+const crossoverP, mutationP = 0.9, 0.1
+
 // makeOffspring produces PopSize children via binary tournament, uniform
 // crossover and per-gene mutation.
 func makeOffspring(pop []*Individual, k int, rng *rand.Rand, opt Options) []*Individual {
@@ -659,11 +630,11 @@ func makeOffspring(pop []*Individual, k int, rng *rand.Rand, opt Options) []*Ind
 	for len(out) < opt.PopSize {
 		p1, p2 := tournament(), tournament()
 		c1, c2 := p1.Params.Clone(), p2.Params.Clone()
-		if rng.Float64() < opt.CrossoverP {
+		if rng.Float64() < crossoverP {
 			crossover(&c1, &c2, rng)
 		}
-		mutate(&c1, k, rng, opt.MutationP)
-		mutate(&c2, k, rng, opt.MutationP)
+		mutate(&c1, k, rng, mutationP)
+		mutate(&c2, k, rng, mutationP)
 		out = append(out, &Individual{Params: c1}, &Individual{Params: c2})
 	}
 	return out[:opt.PopSize]

@@ -59,7 +59,7 @@ func buildBase(t testing.TB, chains, stages int, periodNS float64) *core.Baselin
 }
 
 func smallOpts(seed int64) Options {
-	return Options{PopSize: 8, Generations: 4, Patience: 0, Seed: seed, Parallelism: 4}
+	return Options{PopSize: 8, Generations: 4, Seed: seed, Parallelism: 4}
 }
 
 func TestOptimizeFindsImprovingFront(t *testing.T) {
@@ -136,7 +136,7 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestCacheAvoidsReevaluation(t *testing.T) {
 	base := buildBase(t, 3, 10, 3)
-	log, err := Optimize(base, Options{PopSize: 8, Generations: 6, Patience: 0, Seed: 3, Parallelism: 2})
+	log, err := Optimize(base, Options{PopSize: 8, Generations: 6, Seed: 3, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -274,24 +274,22 @@ func TestNearestFitAllocatesNothing(t *testing.T) {
 
 // TestTryImproveCellAllocatesNothing: a refinement try reads its cell's
 // terminal positions into the search's buffers, so once they have grown,
-// a sweep of tries over every movable cell at ECO's radius and at
-// Refine's, moves included, allocates nothing.
+// a sweep of tries over every movable cell, moves included, allocates
+// nothing.
 func TestTryImproveCellAllocatesNothing(t *testing.T) {
 	l, _ := capTiledLayout(t)
 	d := newDensityTracker(l)
 	cells := movableCells(l)
-	for _, radius := range []int{120, 0} {
-		sweep := func() (moved int) {
-			for _, in := range cells {
-				if tryImproveCell(l, d, in, radius) {
-					moved++
-				}
+	sweep := func() (moved int) {
+		for _, in := range cells {
+			if tryImproveCell(l, d, in) {
+				moved++
 			}
-			return moved
 		}
-		sweep()
-		if allocs := testing.AllocsPerRun(5, func() { sweep() }); allocs != 0 {
-			t.Errorf("radius %d: a sweep of tryImproveCell allocates %v times, want 0", radius, allocs)
-		}
+		return moved
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(5, func() { sweep() }); allocs != 0 {
+		t.Errorf("a sweep of tryImproveCell allocates %v times, want 0", allocs)
 	}
 }

@@ -27,8 +27,6 @@ import (
 type GlobalOptions struct {
 	// TargetUtil is the desired core utilization in (0,1].
 	TargetUtil float64
-	// AspectRatio is core height/width in DBU (1.0 = square die).
-	AspectRatio float64
 	// RefinePasses is the number of wirelength refinement sweeps after
 	// constructive placement.
 	RefinePasses int
@@ -41,9 +39,6 @@ func Global(nl *netlist.Netlist, opt GlobalOptions) (*layout.Layout, error) {
 	if opt.TargetUtil <= 0 || opt.TargetUtil > 1 {
 		return nil, fmt.Errorf("place: target utilization %g out of (0,1]", opt.TargetUtil)
 	}
-	if opt.AspectRatio <= 0 {
-		opt.AspectRatio = 1.0
-	}
 	var cellSites int64
 	for _, in := range nl.Insts {
 		if in.Master.IsFunctional() {
@@ -55,8 +50,8 @@ func Global(nl *netlist.Netlist, opt GlobalOptions) (*layout.Layout, error) {
 	}
 	totalSites := float64(cellSites) / opt.TargetUtil
 	site := nl.Lib.Site
-	// rows*H = aspect * sitesPerRow*W  and  rows*sitesPerRow = totalSites.
-	rows := int(math.Sqrt(totalSites*opt.AspectRatio*float64(site.Width)/float64(site.Height))) + 1
+	// A square die: rows*H = sitesPerRow*W and rows*sitesPerRow = totalSites.
+	rows := int(math.Sqrt(totalSites*float64(site.Width)/float64(site.Height))) + 1
 	if rows < 1 {
 		rows = 1
 	}
@@ -88,33 +83,24 @@ func Global(nl *netlist.Netlist, opt GlobalOptions) (*layout.Layout, error) {
 		return nil, err
 	}
 	for p := 0; p < opt.RefinePasses; p++ {
-		Refine(l, RefineOptions{MaxMoveRadius: 0, Seed: rng.Int63()})
+		Refine(l, rng.Int63())
 	}
 	return l, nil
 }
 
-// RefineOptions configures a wirelength refinement sweep.
-type RefineOptions struct {
-	// MaxMoveRadius bounds how far (in sites, Manhattan over row/site
-	// deltas with rows weighted by the site aspect) a cell may move in one
-	// step; 0 means unbounded.
-	MaxMoveRadius int
-	// Seed orders the sweep.
-	Seed int64
-}
-
-// Refine performs one wirelength-driven ECO placement sweep: every movable
-// cell is tried at the free slot nearest the median of its connected pins,
-// and moved when total HPWL improves and no blockage cap is violated.
-// It returns the number of cells moved.
-func Refine(l *layout.Layout, opt RefineOptions) int {
-	rng := rand.New(rand.NewSource(opt.Seed))
+// Refine performs one wirelength-driven ECO placement sweep, in an order
+// seed shuffles: every movable cell is tried at the free slot nearest the
+// median of its connected pins, however far, and moved when total HPWL
+// improves and no blockage cap is violated. It returns the number of cells
+// moved.
+func Refine(l *layout.Layout, seed int64) int {
+	rng := rand.New(rand.NewSource(seed))
 	cells := movableCells(l)
 	rng.Shuffle(len(cells), func(i, j int) { cells[i], cells[j] = cells[j], cells[i] })
 	dens := newDensityTracker(l)
 	moved := 0
 	for _, in := range cells {
-		if tryImproveCell(l, dens, in, opt.MaxMoveRadius) {
+		if tryImproveCell(l, dens, in) {
 			moved++
 		}
 	}
@@ -133,14 +119,14 @@ func movableCells(l *layout.Layout) []*netlist.Instance {
 
 // tryImproveCell moves in toward the median of its nets if that lowers its
 // connected HPWL; returns true when moved.
-func tryImproveCell(l *layout.Layout, dens *densityTracker, in *netlist.Instance, maxRadius int) bool {
+func tryImproveCell(l *layout.Layout, dens *densityTracker, in *netlist.Instance) bool {
 	tr, ts, ok := desiredSlot(l, dens, in)
 	if !ok {
 		return false
 	}
 	p := l.PlacementOf(in)
 	before := cellHPWL(l, dens, in)
-	row, site, ok := nearestFit(l, dens, in, tr, ts, maxRadius)
+	row, site, ok := nearestFit(l, dens, in, tr, ts, 0)
 	if !ok || (row == p.Row && site == p.Site) {
 		return false
 	}

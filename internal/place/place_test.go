@@ -145,7 +145,7 @@ func TestRefineImprovesWirelength(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := l.TotalHPWL()
-	moved := Refine(l, RefineOptions{Seed: 11})
+	moved := Refine(l, 11)
 	after := l.TotalHPWL()
 	if after > before {
 		t.Errorf("HPWL worsened: %d -> %d", before, after)
@@ -171,7 +171,7 @@ func TestRefineRespectsFixedCells(t *testing.T) {
 			fixedPos[in.Name] = l.PlacementOf(in)
 		}
 	}
-	Refine(l, RefineOptions{Seed: 1})
+	Refine(l, 1)
 	for name, want := range fixedPos {
 		if got := l.PlacementOf(nl.Instance(name)); got != want {
 			t.Errorf("fixed cell %s moved: %+v -> %+v", name, want, got)

@@ -21,13 +21,11 @@ import (
 type Options struct {
 	// Constraints supplies the clock frequency (required).
 	Constraints *sdc.Constraints
-	// Routes supplies wire lengths; when nil, HPWL on EstimateLayer is used.
+	// Routes supplies wire lengths; when nil, HPWL on
+	// tech.Library.EstimateLayer is used.
 	Routes *route.Result
 	// Activity is the average toggle rate per clock cycle (default 0.15).
 	Activity float64
-	// EstimateLayer is the metal used for HPWL wire-cap estimation
-	// (default 3).
-	EstimateLayer int
 }
 
 // Result is a power report in milliwatts.
@@ -51,9 +49,6 @@ func Analyze(l *layout.Layout, opt Options) (Result, error) {
 	}
 	if opt.Activity <= 0 {
 		opt.Activity = 0.15
-	}
-	if opt.EstimateLayer <= 0 {
-		opt.EstimateLayer = 3
 	}
 	lib := l.Lib()
 	fGHz := 1000.0 / opt.Constraints.PrimaryClock().PeriodPS // ps -> GHz
@@ -108,7 +103,7 @@ func netCapFF(l *layout.Layout, n *netlist.Net, opt Options) float64 {
 			c += lib.DBUToMicrons(nr.LenByMetal[metal]) * layer.CPerUM * (0.7 + 0.3*scale)
 		}
 	} else {
-		layer := lib.Layer(opt.EstimateLayer)
+		layer := lib.EstimateLayer()
 		scale := l.NDR.LayerScale(layer.Index)
 		c += lib.DBUToMicrons(l.NetHPWL(n)) * layer.CPerUM * (0.7 + 0.3*scale)
 	}

@@ -243,7 +243,7 @@ func withPenalties(r *router) *router {
 // both, run costs must equal the reference's bit for bit.
 func TestKernelMatchesReference(t *testing.T) {
 	l := placedLocalMesh(t, 8, 60, 40, 160)
-	g := buildGrid(l, Options{}.withDefaults())
+	g := buildGrid(l)
 	layers := l.Lib().NumLayers()
 	rng := rand.New(rand.NewSource(7))
 	scales := []float64{1, 1.2, 1.5}
@@ -314,7 +314,7 @@ func TestKernelMatchesReference(t *testing.T) {
 // property for ordinary, degenerate and clock connections.
 func TestChooseAllocatesNothing(t *testing.T) {
 	l := placedLocalMesh(t, 8, 60, 40, 160)
-	g := buildGrid(l, Options{}.withDefaults())
+	g := buildGrid(l)
 	rng := rand.New(rand.NewSource(3))
 	res := randomCongestion(rng, g, l.NDR.Scale, 1)
 	conns := [][2]geom.Point{

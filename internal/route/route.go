@@ -24,41 +24,16 @@ import (
 
 // Options configures the router.
 type Options struct {
-	// GCellSites and GCellRows set the GCell size (default 10 sites × 2
-	// rows).
-	GCellSites, GCellRows int
-	// RipupPasses is the number of rip-up-and-reroute passes over
-	// congested nets. Zero means "unset" and defaults to 1. To route with
-	// no rip-up passes at all, set DisableRipup; negative values are
-	// accepted as a disable too, for callers that already relied on that.
-	RipupPasses int
-	// DisableRipup turns rip-up-and-reroute off explicitly, distinguishing
-	// "zero passes" from an unset (zero) RipupPasses.
-	DisableRipup bool
 	// Seed drives tie-breaking.
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.GCellSites <= 0 {
-		o.GCellSites = 10
-	}
-	if o.GCellRows <= 0 {
-		o.GCellRows = 2
-	}
-	switch {
-	case o.DisableRipup || o.RipupPasses < 0:
-		o.RipupPasses = 0
-	case o.RipupPasses == 0:
-		o.RipupPasses = 1
-	}
-	return o
-}
+// The GCell is gcellSites sites wide and gcellRows rows tall.
+const gcellSites, gcellRows = 10, 2
 
 // Grid describes the GCell tessellation of the core.
 type Grid struct {
-	Cols, Rows            int
-	GCellSites, GCellRows int
+	Cols, Rows int
 	// CellW, CellH are the GCell dimensions in DBU.
 	CellW, CellH int64
 	Origin       geom.Point
@@ -178,7 +153,7 @@ type Result struct {
 	// from this result requires an exactly equal NDR, since the scale
 	// multiplies every track-usage commit.
 	NDRScale []float64
-	// Victims counts nets ripped up across all rip-up-and-reroute passes.
+	// Victims counts nets ripped up by the rip-up-and-reroute pass.
 	// Only a result with zero victims can donate routes to a warm start:
 	// with victims, the final per-net routes no longer reflect the usage
 	// state each net saw at its main-loop turn, so replay equivalence
@@ -228,7 +203,7 @@ type Workspace struct {
 	netRoutes []*NetRoute
 	ndr       []float64
 	// passes holds the slabs of each routing pass: the main pass first,
-	// then one per rip-up pass that found victims.
+	// then the rip-up pass when it found victims.
 	passes  []passSlabs
 	over    []bool
 	victims []int32
@@ -258,7 +233,6 @@ func (ws *Workspace) Route(l *layout.Layout, opt Options, geo *Geometry) (*Resul
 // it uses, and neither the penalty table nor any slab beyond its own.
 func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry, ws *Workspace) (*Result, error) {
 	defer routeSeconds.Start().Stop()
-	opt = opt.withDefaults()
 	lib := l.Lib()
 	if lib.NumLayers() < 2 {
 		return nil, fmt.Errorf("route: need at least 2 routing layers, have %d", lib.NumLayers())
@@ -269,7 +243,7 @@ func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry, ws *Workspa
 	if ws.res == nil {
 		ws.res = new(Result)
 	}
-	grid := buildGrid(l, opt)
+	grid := buildGrid(l)
 	k, n := lib.NumLayers(), grid.Cols*grid.Rows
 	var stale bool
 	ws.usage, stale = reuseGrids(ws.usage, k, n)
@@ -301,24 +275,20 @@ func routeWithGeometry(l *layout.Layout, opt Options, geo *Geometry, ws *Workspa
 	fillCapacity(l, res, r.pen, r.demand)
 
 	r.routeAll(geo.Order)
-	for p := 0; p < opt.RipupPasses; p++ {
-		r.ripupAndReroute()
-	}
+	r.ripupAndReroute()
 	res.finalize()
 	return res, nil
 }
 
-func buildGrid(l *layout.Layout, opt Options) Grid {
+func buildGrid(l *layout.Layout) Grid {
 	site := l.Lib().Site
 	g := Grid{
-		GCellSites: opt.GCellSites,
-		GCellRows:  opt.GCellRows,
-		CellW:      int64(opt.GCellSites) * site.Width,
-		CellH:      int64(opt.GCellRows) * site.Height,
-		Origin:     l.Origin,
+		CellW:  gcellSites * site.Width,
+		CellH:  gcellRows * site.Height,
+		Origin: l.Origin,
 	}
-	g.Cols = (l.SitesPerRow + opt.GCellSites - 1) / opt.GCellSites
-	g.Rows = (l.NumRows + opt.GCellRows - 1) / opt.GCellRows
+	g.Cols = (l.SitesPerRow + gcellSites - 1) / gcellSites
+	g.Rows = (l.NumRows + gcellRows - 1) / gcellRows
 	if g.Cols < 1 {
 		g.Cols = 1
 	}
@@ -409,7 +379,7 @@ type router struct {
 	// or on batch order.
 	seed int64
 	// track, when non-nil, accumulates the GCells whose usage rip-up
-	// changes — route.Warm's Δ mask, extended through the rip-up passes so
+	// changes — route.Warm's Δ mask, extended through the rip-up pass so
 	// the caller can tell which nets' surroundings moved.
 	track *deltaMask
 	// ladders[s] is the layer-pair ladder rotated to start at pair s (see
@@ -914,7 +884,8 @@ func (r *router) uncommit(nr *NetRoute) {
 }
 
 // ripupAndReroute rips up nets that cross overflowed GCells and re-routes
-// them in a congestion-aware order.
+// them in a congestion-aware order. The router runs it once, after the
+// main pass.
 func (r *router) ripupAndReroute() {
 	over, _ := grow(&r.ws.over, r.res.Grid.Cols*r.res.Grid.Rows)
 	clear(over)

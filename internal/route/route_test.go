@@ -249,12 +249,12 @@ func TestDeterministicRouting(t *testing.T) {
 
 func TestGridGeometry(t *testing.T) {
 	l := placedMesh(t, 4, 10, 0.6)
-	res, err := Route(l, Options{GCellSites: 8, GCellRows: 2, Seed: 1})
+	res, err := Route(l, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := res.Grid
-	if g.Cols*g.GCellSites < l.SitesPerRow || g.Rows*g.GCellRows < l.NumRows {
+	if g.Cols*gcellSites < l.SitesPerRow || g.Rows*gcellRows < l.NumRows {
 		t.Errorf("grid %dx%d does not cover core %dx%d", g.Cols, g.Rows, l.SitesPerRow, l.NumRows)
 	}
 	// AtDBU of a gcell center returns the gcell.

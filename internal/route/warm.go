@@ -82,7 +82,6 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 	if err := fault.Hit(fault.Route); err != nil {
 		return nil, st, err
 	}
-	opt = opt.withDefaults()
 	lib := l.Lib()
 	decline := func(reason string) (*Result, WarmStats, error) {
 		st.Decline = reason
@@ -106,7 +105,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 			return decline("ndr")
 		}
 	}
-	grid := buildGrid(l, opt)
+	grid := buildGrid(l)
 	switch {
 	case grid != donor.Grid:
 		return decline("grid")
@@ -189,9 +188,7 @@ func Warm(l *layout.Layout, opt Options, geo *Geometry, donor *Result, dirty []b
 	// paths join Δ, keeping the invariant that Δ covers every GCell whose
 	// final usage can differ from the donor run's.
 	r.track = delta
-	for p := 0; p < opt.RipupPasses; p++ {
-		r.ripupAndReroute()
-	}
+	r.ripupAndReroute()
 	res.finalize()
 
 	// Per-net change mask for delta-STA: a net's timing inputs are its

@@ -312,7 +312,7 @@ func TestWarmPreconditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wideRes.Grid != buildGrid(narrow, opt.withDefaults()) || wideRes.Core == narrow.CoreRect() {
+	if wideRes.Grid != buildGrid(narrow) || wideRes.Core == narrow.CoreRect() {
 		t.Fatal("fixture: grids should match and cores differ")
 	}
 	res, st, err := Warm(narrow, opt, BuildGeometry(narrow), wideRes, make([]bool, len(narrow.Netlist.Nets)))

@@ -37,9 +37,6 @@ type Config struct {
 	// jobs (explorations resume from their last checkpoint) and restoring
 	// finished jobs into the result store.
 	Store *durable.Store
-	// SnapshotEvery compacts a job's WAL into one snapshot record after
-	// that many persisted checkpoints (default 8).
-	SnapshotEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -57,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retention <= 0 {
 		c.Retention = 256
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 8
 	}
 	return c
 }

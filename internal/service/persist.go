@@ -111,10 +111,14 @@ func (m *Manager) persistState(job *Job, state State, attempt int, errText strin
 	}
 }
 
+// snapshotEvery is how many persisted checkpoints a job's WAL takes before
+// it is compacted into one snapshot record.
+const snapshotEvery = 8
+
 // persistCheckpoint records the latest exploration checkpoint: always
-// in-memory on the job, and in the WAL when the manager is durable. Every SnapshotEvery-th checkpoint
-// the log is compacted into a mid-run snapshot instead of growing
-// unboundedly. The returned error aborts the exploration — a checkpoint
+// in-memory on the job, and in the WAL when the manager is durable. Every
+// snapshotEvery-th checkpoint the log is compacted into a mid-run snapshot
+// instead of growing unboundedly. The returned error aborts the exploration — a checkpoint
 // the store cannot hold must not be silently skipped, or a crash would
 // replay from a state older than the caller believes.
 func (m *Manager) persistCheckpoint(job *Job, scope string, blob []byte) error {
@@ -122,7 +126,7 @@ func (m *Manager) persistCheckpoint(job *Job, scope string, blob []byte) error {
 	if job.wal == nil {
 		return nil
 	}
-	if n := job.bumpCheckpointCount(); n%m.cfg.SnapshotEvery == 0 {
+	if n := job.bumpCheckpointCount(); n%snapshotEvery == 0 {
 		return job.wal.Snapshot(recJob, m.snapshotOf(job, scope, blob))
 	}
 	return job.wal.Append(recCheckpoint, checkpointRecord{Scope: scope, Data: blob})

@@ -61,9 +61,6 @@ func AnalyzeDelta(l *layout.Layout, opt Options, donor *Result, changed []bool) 
 	if err != nil {
 		return nil, ds, err
 	}
-	if opt.EstimateLayer <= 0 {
-		opt.EstimateLayer = 3
-	}
 	nl := l.Netlist
 	if donor == nil || donor.graph == nil || donor.PeriodPS != period ||
 		donor.graph.numInsts != len(nl.Insts) || donor.graph.numNets != len(nl.Nets) ||

@@ -319,6 +319,40 @@ func TestDeltaAllChangedMatchesFull(t *testing.T) {
 	sameAnalysis(t, l, delta, donor)
 }
 
+// TestDeltaUnroutedMatchesFull analyzes an unrouted layout with every net
+// marked changed: delta and full analysis must estimate each net's wire on
+// the same layer, so the delta result equals the full one bit for bit.
+func TestDeltaUnroutedMatchesFull(t *testing.T) {
+	l := placedPipe(t, 60, 4)
+	opt := Options{Constraints: cons(0.4)}
+	full, err := Analyze(l, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	changed := make([]bool, len(l.Netlist.Nets))
+	for i := range changed {
+		changed[i] = true
+	}
+	delta, _, err := AnalyzeDelta(l, opt, full, changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta == nil {
+		t.Fatal("unrouted delta declined")
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(delta.TNS, full.TNS) || !same(delta.WNS, full.WNS) {
+		t.Fatalf("delta TNS/WNS %.2f/%.2f ps, full %.2f/%.2f ps", delta.TNS, delta.WNS, full.TNS, full.WNS)
+	}
+	for id := range full.netWire {
+		if !same(delta.netWire[id], full.netWire[id]) || !same(delta.netCap[id], full.netCap[id]) {
+			t.Fatalf("net %d wire/cap %v/%v, full %v/%v", id,
+				delta.netWire[id], delta.netCap[id], full.netWire[id], full.netCap[id])
+		}
+	}
+	sameAnalysis(t, l, delta, full)
+}
+
 // TestDeltaDeclines checks the compatibility gates: an unusable donor makes
 // AnalyzeDelta return nil (fall back to full analysis) instead of producing
 // wrong numbers.

@@ -200,10 +200,7 @@ func refAnalyze(t *testing.T, l *layout.Layout, opt sta.Options) refResult {
 				cw *= f
 			}
 		} else {
-			layer := lib.Layer(opt.EstimateLayer)
-			if layer == nil {
-				layer = lib.Layer(lib.NumLayers() / 2)
-			}
+			layer := lib.EstimateLayer()
 			lenUM := lib.DBUToMicrons(l.NetHPWL(n))
 			scale := l.NDR.LayerScale(layer.Index)
 			rw = lenUM * layer.RPerUM / scale

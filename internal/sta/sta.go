@@ -30,11 +30,8 @@ type Options struct {
 	// Constraints supplies the clock period and I/O delays (required).
 	Constraints *sdc.Constraints
 	// Routes supplies per-net routed lengths by layer; when nil, wire RC is
-	// estimated from HPWL on a mid-stack layer.
+	// estimated from HPWL on tech.Library.EstimateLayer.
 	Routes *route.Result
-	// EstimateLayer is the 1-based metal index used for HPWL-based RC
-	// estimation when Routes is nil (default 3).
-	EstimateLayer int
 }
 
 // Result is the outcome of one STA run. All times are picoseconds.
@@ -300,10 +297,7 @@ func (e *engine) characterize(n *netlist.Net) {
 			cw *= f
 		}
 	} else {
-		layer := lib.Layer(e.opt.EstimateLayer)
-		if layer == nil {
-			layer = lib.Layer(lib.NumLayers() / 2)
-		}
+		layer := lib.EstimateLayer()
 		lenUM := lib.DBUToMicrons(e.l.NetHPWL(n))
 		scale := e.l.NDR.LayerScale(layer.Index)
 		rw = lenUM * layer.RPerUM / scale

@@ -337,6 +337,11 @@ func (l *Library) Layer(i int) *Layer {
 	return &l.Layers[i-1]
 }
 
+// EstimateLayer returns the layer whose RC an unrouted net's wire takes:
+// timing and power estimate such a wire as its HPWL on the mid-stack metal
+// NumLayers()/2.
+func (l *Library) EstimateLayer() *Layer { return l.Layer(l.NumLayers() / 2) }
+
 // LayerByName returns the named layer, or nil.
 func (l *Library) LayerByName(name string) *Layer {
 	for i := range l.Layers {
