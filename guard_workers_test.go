@@ -3,27 +3,22 @@ package gdsiiguard
 import (
 	"testing"
 
-	"gdsiiguard/internal/core"
 	"gdsiiguard/internal/nsga2"
 	"gdsiiguard/internal/sta"
 )
 
 // TestBenchmarkFrontUnchangedByWorkers is the end-to-end golden check for
-// the intra-evaluation parallel paths: a full exploration with
-// level-parallel STA and band-parallel operator scans at 4 workers must
-// reproduce the sequential exploration's Pareto front bit-for-bit — same
-// evaluation count, same front, same metrics. Worker count is a throughput
-// knob, never a results knob. These designs have fewer rows than the band
-// threshold, so their band scans resolve to one worker whatever the
-// setting; TestBandMassMatchesSequential and TestCellShiftBandIdentical
-// cover the band path itself.
+// the intra-evaluation parallel path: a full exploration with
+// level-parallel STA at 4 workers must reproduce the sequential
+// exploration's Pareto front bit-for-bit — same evaluation count, same
+// front, same metrics. Worker count is a throughput knob, never a results
+// knob.
 func TestBenchmarkFrontUnchangedByWorkers(t *testing.T) {
 	designs := []string{"PRESENT"}
 	if !testing.Short() {
 		designs = append(designs, "openMSP430_1")
 	}
 	defer sta.SetWorkers(0)
-	defer core.SetOperatorBandWorkers(0)
 	for _, name := range designs {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -34,13 +29,11 @@ func TestBenchmarkFrontUnchangedByWorkers(t *testing.T) {
 			opt := nsga2.Options{PopSize: 8, Generations: 3, Seed: 1}
 
 			sta.SetWorkers(4)
-			core.SetOperatorBandWorkers(4)
 			par, err := nsga2.Optimize(d.base, opt)
 			if err != nil {
 				t.Fatalf("parallel Optimize: %v", err)
 			}
 			sta.SetWorkers(1)
-			core.SetOperatorBandWorkers(1)
 			seq, err := nsga2.Optimize(d.base, opt)
 			if err != nil {
 				t.Fatalf("sequential Optimize: %v", err)

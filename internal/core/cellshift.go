@@ -31,11 +31,6 @@ type CellShiftResult struct {
 // split is precisely what fragments the free space into sub-Thresh_ER
 // pockets. The cell itself is then placed once per vertex. Security-critical
 // cells shift like any other cell; cells fixed for other reasons never move.
-// maxCellShiftPasses bounds the alternating pass count; each pass drains
-// the blind-spot edge column left by the previous one, and the loop stops
-// as soon as a pass pair yields no further reduction.
-const maxCellShiftPasses = 8
-
 func CellShift(l *layout.Layout, threshER int) CellShiftResult {
 	return CellShiftWithOptions(l, threshER, true)
 }
@@ -77,12 +72,16 @@ type shiftEngine struct {
 	moved     []bool
 	passAdded []int
 	dice      diceScratch
-	bands     bandScratch
 
 	// massTrace, when non-nil, receives every exploitableMass checkpoint
 	// (set by the golden equivalence test to compare trajectories).
 	massTrace *[]int
 }
+
+// maxCellShiftPasses bounds the alternating pass count; each pass drains
+// the blind-spot edge column left by the previous one, and the loop stops
+// as soon as a pass pair yields no further reduction.
+const maxCellShiftPasses = 8
 
 func (e *shiftEngine) run(l *layout.Layout, threshER int, dice bool) CellShiftResult {
 	var res CellShiftResult
@@ -142,25 +141,18 @@ func (e *shiftEngine) run(l *layout.Layout, threshER int, dice bool) CellShiftRe
 // exploitableMass sums the weights of empty-site components at or above the
 // threshold over the whole layout (timing-agnostic: the operator's own
 // progress measure). The index and row buffers are reused across calls.
-// SoC-scale layouts dispatch to the band-parallel build (see band.go),
-// which is bit-identical to the sequential one.
 func (e *shiftEngine) exploitableMass(l *layout.Layout, threshER int) int {
-	var m int
-	if w := resolveBandWorkers(l.NumRows); w > 1 {
-		m = e.bands.mass(l.NumRows, threshER, w, layoutRowSource(l))
-	} else {
-		ix := &e.ix
-		ix.reset()
-		for r := 0; r < l.NumRows; r++ {
-			buf := ix.nextTopBuf()
-			e.runBuf = l.AppendFreeRuns(r, e.runBuf[:0])
-			for _, run := range e.runBuf {
-				buf = append(buf, freeRun{run.Start, run.Len})
-			}
-			ix.extend(buf)
+	ix := &e.ix
+	ix.reset()
+	for r := 0; r < l.NumRows; r++ {
+		buf := ix.nextTopBuf()
+		e.runBuf = l.AppendFreeRuns(r, e.runBuf[:0])
+		for _, run := range e.runBuf {
+			buf = append(buf, freeRun{run.Start, run.Len})
 		}
-		m = ix.mass(threshER)
+		ix.extend(buf)
 	}
+	m := ix.mass(threshER)
 	if e.massTrace != nil {
 		*e.massTrace = append(*e.massTrace, m)
 	}

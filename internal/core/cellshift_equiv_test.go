@@ -10,6 +10,7 @@ import (
 	"gdsiiguard/internal/benchdesigns"
 	"gdsiiguard/internal/layout"
 	"gdsiiguard/internal/netlist"
+	"gdsiiguard/internal/opencell45"
 )
 
 // randomRows generates rows of random non-overlapping ascending free runs
@@ -237,6 +238,81 @@ func TestExploitableMassAllocatesNothing(t *testing.T) {
 	r := newPassRig(t)
 	if n := testing.AllocsPerRun(50, func() { r.e.exploitableMass(r.l, 20) }); n != 0 {
 		t.Errorf("warm exploitableMass: %v allocs/op, want 0", n)
+	}
+}
+
+// randomTallLayout builds a tall layout with randomly scattered
+// unconnected cells; the mass scan only consumes occupancy.
+func randomTallLayout(t *testing.T, rows, sites, cells int, seed int64) *layout.Layout {
+	t.Helper()
+	lib := opencell45.MustLoad()
+	nl := netlist.New("tall_t", lib)
+	l, err := layout.New(nl, rows, sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < cells; i++ {
+		in, err := nl.AddInstance(fmt.Sprintf("x%d", i), "INV_X1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			r, s := rng.Intn(rows), rng.Intn(sites)
+			if l.CanPlace(in, r, s) {
+				if err := l.Place(in, r, s); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+		}
+	}
+	return l
+}
+
+// TestExploitableFreeMass: the exported entry must give the mass of the
+// from-scratch union-find reference, on a random tall layout and on a
+// stamped SoC (the SoC_100k tile at 3×3 tiles with macros, 147 rows).
+func TestExploitableFreeMass(t *testing.T) {
+	spec, err := benchdesigns.SoCSpecOf("SoC_100k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Name = "SoC_3x3"
+	spec.TilesX, spec.TilesY = 3, 3
+	spec.MacroEvery = 3
+	soc, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		l      *layout.Layout
+		thresh int
+	}{
+		{"random_tall", randomTallLayout(t, 192, 40, 2000, 11), 12},
+		{spec.Name, soc.Layout, 20},
+	}
+	for _, c := range cases {
+		rows := make([][]freeRun, c.l.NumRows)
+		for r := range rows {
+			for _, run := range c.l.AppendFreeRuns(r, nil) {
+				rows[r] = append(rows[r], freeRun{run.Start, run.Len})
+			}
+		}
+		want := 0
+		for _, w := range refBuildBelowIndex(rows).weight {
+			if w >= c.thresh {
+				want += w
+			}
+		}
+		got := ExploitableFreeMass(c.l, c.thresh)
+		if got != want {
+			t.Errorf("%s: mass = %d, want %d", c.name, got, want)
+		}
+		if got == 0 {
+			t.Errorf("%s: mass = 0 on a half-empty layout", c.name)
+		}
 	}
 }
 

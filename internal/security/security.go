@@ -43,7 +43,7 @@ type Params struct {
 	// TrojanWireFactor scales the attacker's effective wire capacitance:
 	// Trojan routing must detour through leftover tracks, stacks vias, and
 	// hangs off a minimum-size gate, so it sees far worse RC than the
-	// victim's optimized nets (default 8).
+	// victim's optimized nets (default 3).
 	TrojanWireFactor float64
 }
 
@@ -272,8 +272,8 @@ func (ws *Workspace) assetRadius(l *layout.Layout, timing *sta.Result, p Params)
 			break
 		}
 	}
-	// Wire RC on the estimation layer (metal3), derated for the attacker's
-	// detoured, via-heavy routing.
+	// The Trojan tap is modelled on metal 3, with its wire RC derated for
+	// the attacker's detoured, via-heavy routing.
 	layer := lib.Layer(3)
 	if layer == nil {
 		layer = lib.Layer(lib.NumLayers() / 2)
